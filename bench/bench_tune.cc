@@ -469,7 +469,7 @@ int main(int argc, char** argv) {
         [&](const std::vector<long long>& v) {
           hpl::MixedOptions mo;
           mo.nb = static_cast<std::size_t>(v[0]);
-          mo.microkernel = static_cast<int>(v[1]);
+          mo.panel.microkernel = static_cast<int>(v[1]);
           mo.pool = &pool;
           const auto t0 = std::chrono::steady_clock::now();
           const hpl::MixedSolveResult r = hpl::solve_mixed_seeded(n, 42, mo);

@@ -4,12 +4,14 @@
 # (-L net: the coroutine World, the engine-conformance suite, the chaos
 # harness, distributed HPL and the bench_scaling smoke gate), the
 # fault-injection chaos harness (-L fault), the autotuning subsystem
-# (-L tune), the panel critical-path kernels (-L panel), the
+# (-L tune), the panel critical-path kernels (-L panel), the LU stage
+# primitives and every driver built on them (-L stage: blocked, DAG,
+# hybrid and distributed, with their bitwise oracles), the
 # micro-kernel registry (-L microkernel) and the HPCC workload suite
 # (-L hpcc: PTRANS/GUPS/STREAM/b_eff plus the bench_hpcc_all smoke gate),
-# then re-runs the microkernel,
-# serve, net and hpcc suites under both ISA presets (XPHI_ARCH=native and the
-# sse2 baseline, so every compiled dispatch tier is exercised) and repeats
+# then re-runs the microkernel, stage, serve, net and hpcc suites under
+# both ISA presets (XPHI_ARCH=native and the sse2 baseline, so every
+# compiled dispatch tier is exercised) and repeats
 # the concurrency-bearing suites under ThreadSanitizer. Exits non-zero on
 # the first failure; CI-runnable.
 set -euo pipefail
@@ -39,6 +41,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L panel
 echo "== ctest -L microkernel =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L microkernel
 
+echo "== ctest -L stage =="
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L stage
+
 echo "== ctest -L mixed =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L mixed
 
@@ -55,14 +60,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L hpcc
 # rides along: its responses and decision hashes must also be preset-blind
 # (the dispatcher's virtual time never sees the ISA). The mixed-precision
 # suite runs in both too — the fp32 tables have their own per-ISA variants
-# and the refinement trace must be preset-blind at each dispatch tier.
+# and the refinement trace must be preset-blind at each dispatch tier. So
+# does the stage suite: the DAG and hybrid drivers must reproduce the
+# blocked oracle's bits under every dispatch tier.
 for arch in native sse2; do
-  echo "== ctest -L microkernel + mixed + serve + net + hpcc (XPHI_ARCH=$arch) =="
+  echo "== ctest -L microkernel + stage + mixed + serve + net + hpcc (XPHI_ARCH=$arch) =="
   ARCH_DIR="${BUILD_DIR}-${arch}"
   cmake -B "$ARCH_DIR" -S . -DXPHI_ARCH="$arch" >/dev/null
   cmake --build "$ARCH_DIR" -j"$(nproc)" --target test_microkernel test_mixed test_serve bench_serve \
-    test_net test_net_conformance test_fault test_hpl test_hpcc bench_scaling bench_hpcc_all bench_mixed
+    test_net test_net_conformance test_fault test_hpl test_hpcc bench_scaling bench_hpcc_all bench_mixed \
+    test_blas test_lu test_core
   ctest --test-dir "$ARCH_DIR" --output-on-failure -L microkernel
+  ctest --test-dir "$ARCH_DIR" --output-on-failure -L stage
   ctest --test-dir "$ARCH_DIR" --output-on-failure -L mixed
   ctest --test-dir "$ARCH_DIR" --output-on-failure -L serve
   ctest --test-dir "$ARCH_DIR" --output-on-failure -L net

@@ -4,6 +4,7 @@
 # Covers the dynamic parallel_for scheduler (thread pool), parallel packing
 # and the pack cache, the pooled tiled GEMM, the panel critical-path kernels
 # (pool-parallel iamax, fused LASWP, blocked TRSM), the DAG LU executor, the
+# hybrid driver's asynchronous look-ahead panel beside the offload engine, the
 # net::World messaging layer (the cooperative coroutine scheduler, via the
 # TSan fiber API, plus nonblocking requests, both collective families and
 # the engine-conformance suite), the weak-scaling fabric smoke run, the
@@ -24,14 +25,16 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_util test_blas test_panel test_microkernel test_lu test_core test_net test_net_conformance test_hpl test_mixed test_hpcc test_fault test_tune test_serve bench_scaling bench_hpcc_all
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
-"$BUILD_DIR/tests/test_util" --gtest_filter='ThreadPool*:SpinBarrier*'
+"$BUILD_DIR/tests/test_util" --gtest_filter='ThreadPool*'
 "$BUILD_DIR/tests/test_blas" --gtest_filter='Pack*:PackCache*:Gemm*'
 "$BUILD_DIR/tests/test_panel"  # pool-parallel iamax, fused LASWP, blocked TRSM
 # Registry dispatch under the pooled GEMM: magic-static table init racing
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'
 "$BUILD_DIR/tests/test_lu" --gtest_filter='FunctionalDagLu*:DagLuFactor*'
-"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*'
+# Hybrid driver: the std::async panel factorization runs beside the offload
+# engine's card threads updating other columns of the same matrix.
+"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*:HybridFunctional*'
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
 # Engine conformance: seeded random traffic, both collective families and
 # the 1024-rank bounded-pool run, all on coroutine stacks (the build maps

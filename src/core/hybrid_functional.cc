@@ -4,7 +4,7 @@
 #include <future>
 #include <vector>
 
-#include "blas/lu_kernels.h"
+#include "blas/getrf.h"
 #include "blas/residual.h"
 #include "util/rng.h"
 
@@ -27,51 +27,30 @@ HybridFunctionalResult run_functional_hybrid_hpl(
     for (std::size_t c = 0; c < n; ++c) orig(r, c) = a(r, c);
   std::vector<std::size_t> ipiv(n);
 
-  blas::PanelOptions popt;
-  if (cfg.panel_nb_min != 0) popt.nb_min = cfg.panel_nb_min;
-  popt.laswp_col_chunk = cfg.laswp_col_chunk;
-  popt.microkernel = cfg.microkernel;
+  blas::PanelOptions popt = cfg.panel;
+  popt.pool = nullptr;
+  const std::span<const std::size_t> piv(ipiv);
 
-  // Factor panel `p` in place and make its pivots absolute. Returns false on
-  // a zero pivot.
+  // Factor the panel at stage i0 in place (absolute pivots). Returns false
+  // on a zero pivot.
   auto factor_panel = [&](std::size_t i0) {
     const std::size_t pw = std::min(nb, n - i0);
-    auto panel = a.block(i0, i0, n - i0, pw);
-    auto piv = std::span<std::size_t>(ipiv).subspan(i0, pw);
-    if (!blas::getrf_panel<double>(panel, piv, popt)) return false;
-    for (std::size_t t = 0; t < pw; ++t) piv[t] += i0;
-    return true;
+    return blas::factor_stage_panel<double>(
+        a.block(i0, i0, n - i0, pw), std::span(ipiv).subspan(i0, pw), i0,
+        popt);
   };
 
-  // Offload-shaped trailing update of columns [c0, c0+ncols) at stage i0.
+  // Swap + solve + offload-shaped trailing update of columns [c0, c0+ncols)
+  // at stage i0. The offload engine: card threads + queues + two-ended
+  // stealing.
   auto update_columns = [&](std::size_t i0, std::size_t pw, std::size_t c0,
                             std::size_t ncols) {
-    if (ncols == 0) return;
-    // Pivot + forward solve for this column range: one fused cache-blocked
-    // pass over the stage's interchanges (rows shifted to block-local).
-    auto block = a.block(i0, c0, n - i0, ncols);
-    blas::SwapPlan plan;
-    plan.pairs.reserve(pw);
-    for (std::size_t t = 0; t < pw; ++t) {
-      const std::size_t src = ipiv[i0 + t] - i0;
-      if (src != t) plan.pairs.push_back({t, src});
-    }
-    plan.finalize();
-    blas::laswp_fused<double>(block, plan, /*pool=*/nullptr,
-                              cfg.laswp_col_chunk);
-    auto l11 = a.block(i0, i0, pw, pw);
-    auto u = a.block(i0, c0, pw, ncols);
-    blas::trsm_left_lower_unit<double>(
-        util::MatrixView<const double>(l11), u);
-    if (n > i0 + pw) {
-      auto l21 = a.block(i0 + pw, i0, n - i0 - pw, pw);
-      auto c = a.block(i0 + pw, c0, n - i0 - pw, ncols);
-      // The offload engine: card threads + queues + two-ended stealing.
-      offload_gemm_functional(-1.0,
-                              util::MatrixView<const double>(l21),
-                              util::MatrixView<const double>(u), c,
-                              cfg.offload);
-    }
+    blas::update_stage_columns<double>(
+        a.view(), piv, i0, pw, c0, ncols, popt,
+        [&](MatrixView<const double> l21, MatrixView<const double> u,
+            MatrixView<double> c, const blas::PanelOptions&) {
+          offload_gemm_functional(-1.0, l21, u, c, cfg.offload);
+        });
   };
 
   if (!factor_panel(0)) return res;
@@ -79,13 +58,9 @@ HybridFunctionalResult run_functional_hybrid_hpl(
     const std::size_t pw = std::min(nb, n - i0);
     // Apply this stage's interchanges to the columns LEFT of the panel in a
     // single fused pass.
-    if (i0 > 0) {
-      auto left = a.block(0, 0, n, i0);
-      blas::laswp_fused<double>(left,
-                                std::span<const std::size_t>(ipiv.data(), n),
-                                i0, i0 + pw, /*pool=*/nullptr,
-                                cfg.laswp_col_chunk);
-    }
+    if (i0 > 0)
+      blas::laswp_fused<double>(a.block(0, 0, n, i0), piv, i0, i0 + pw,
+                                /*pool=*/nullptr, popt.laswp_col_chunk);
     const std::size_t trail0 = i0 + pw;
     if (trail0 >= n) break;
     const std::size_t next_pw = std::min(nb, n - trail0);

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "blas/lu_kernels.h"
 #include "core/offload_functional.h"
 
 namespace xphi::core {
@@ -27,13 +28,11 @@ struct HybridFunctionalConfig {
   FunctionalOffloadConfig offload{};
   FunctionalScheme scheme = FunctionalScheme::kBasic;
   int pipeline_subsets = 4;  // column subsets for kPipelined
-  // Critical-path kernel knobs (blas::PanelOptions); 0 = kernel defaults.
-  std::size_t panel_nb_min = 0;     // recursive-panel cutoff
-  std::size_t laswp_col_chunk = 0;  // fused-LASWP column chunk
-  // Micro-kernel registry shape for the panel's packed update
-  // (mr*100 + nr; 0 = auto-dispatch). The offload engine's GEMM reads the
-  // same knob from offload.knobs.microkernel. Bitwise-neutral.
-  int microkernel = 0;
+  // Critical-path kernel knobs of the panel factorization and the row
+  // swaps. The pool field is ignored: the panel runs serially beside the
+  // offload engine. The offload engine's GEMM reads its micro-kernel from
+  // offload.knobs.microkernel.
+  blas::PanelOptions panel{};
 };
 
 struct HybridFunctionalResult {

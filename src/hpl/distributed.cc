@@ -6,10 +6,10 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <type_traits>
 
-#include "blas/gemm_tiled.h"
-#include "blas/lu_kernels.h"
+#include "blas/getrf.h"
 #include "blas/residual.h"
 #include "hpl/mixed.h"
 #include "net/world.h"
@@ -27,21 +27,42 @@ using trace::SpanKind;
 using util::Matrix;
 using util::MatrixView;
 
-// Message tags: each stage owns a kTagStride-wide window
-// (stage * kTagStride + base); the pipelined schemes add the column-subset
-// index to the U-broadcast and swap bases.
-constexpr int kMaxSubsets = 16;
-constexpr int kTagStride = 64;
+// Message tags: stage bk owns the window [bk, bk + 1) * kTagStride. The U
+// broadcast takes two slots: kTagU carries the full-width block (kNone,
+// kBasic) or the pipelined next-panel subset, kTagU + 1 the pipelined batch
+// of the remaining subsets. The factored-matrix gather uses the first tag
+// past the last stage's window.
 constexpr int kTagPanelGather = 0;
 constexpr int kTagPanelBcast = 1;
-constexpr int kTagGather = 2;
-constexpr int kTagUBcast = 8;              // + subset
-constexpr int kTagSwap = 8 + kMaxSubsets;  // + subset
+constexpr int kTagSwap = 2;
+constexpr int kTagU = 3;
+constexpr int kTagStride = 5;
+constexpr int kMaxSubsets = 16;  // clamp of pipeline_subsets
 
 /// Global column range [g0, g1).
 struct ColSpan {
   std::size_t g0 = 0, g1 = 0;
 };
+
+/// Stage bk's geometry: panel rows/columns [k0, k0 + pw), the process row
+/// and column owning them, the root rank that factors the panel, and the
+/// stage's tag window.
+struct Stage {
+  std::size_t k0 = 0, pw = 0;
+  int prow = 0, pcol = 0, root = 0, tag = 0;
+};
+
+Stage stage_of(const BlockCyclic& dist, std::size_t bk) {
+  const Grid& grid = dist.grid();
+  Stage st;
+  st.k0 = bk * dist.nb();
+  st.pw = std::min(dist.nb(), dist.n() - st.k0);
+  st.prow = static_cast<int>(bk % grid.p);
+  st.pcol = static_cast<int>(bk % grid.q);
+  st.root = grid.rank_of(st.prow, st.pcol);
+  st.tag = static_cast<int>(bk) * kTagStride;
+  return st;
+}
 
 // Every stage below is templated on the local scalar type T. All payloads
 // stay std::vector<double>: a float widens to double exactly, so packing T
@@ -50,27 +71,35 @@ struct ColSpan {
 // is instruction-for-instruction the pre-template code.
 template <class T>
 struct RankContext {
-  const BlockCyclic* dist = nullptr;
-  Comm* comm = nullptr;
-  const DistributedHplOptions* options = nullptr;
+  const BlockCyclic& dist;
+  Comm& comm;
+  const DistributedHplOptions& options;
+  blas::PanelOptions panel;  // options.panel, pool dropped
   int prow = 0, pcol = 0;
   Matrix<T> local;  // local block-cyclic share, row-major
   std::chrono::steady_clock::time_point epoch;
   std::vector<trace::Span>* spans = nullptr;  // this rank's lane (optional)
 
-  std::size_t lrows() const { return dist->local_rows(prow); }
-  std::size_t lcols() const { return dist->local_cols(pcol); }
+  std::size_t lrows() const { return dist.local_rows(prow); }
+  std::size_t lcols() const { return dist.local_cols(pcol); }
 
   /// First local row whose global index is >= g.
   std::size_t local_row_lower_bound(std::size_t g) const {
     std::size_t lo = 0;
-    while (lo < lrows() && dist->global_row(prow, lo) < g) ++lo;
+    while (lo < lrows() && dist.global_row(prow, lo) < g) ++lo;
     return lo;
   }
   std::size_t local_col_lower_bound(std::size_t g) const {
     std::size_t lo = 0;
-    while (lo < lcols() && dist->global_col(pcol, lo) < g) ++lo;
+    while (lo < lcols() && dist.global_col(pcol, lo) < g) ++lo;
     return lo;
+  }
+
+  /// Every rank of the grid, in rank order (the collectives' group).
+  std::vector<int> everyone() const {
+    std::vector<int> all(dist.grid().ranks());
+    std::iota(all.begin(), all.end(), 0);
+    return all;
   }
 
   double now() const {
@@ -81,7 +110,7 @@ struct RankContext {
   void record(SpanKind kind, double t0) {
     if (spans != nullptr)
       spans->push_back(
-          {static_cast<std::size_t>(comm->rank()), kind, t0, now()});
+          {static_cast<std::size_t>(comm.rank()), kind, t0, now()});
   }
 };
 
@@ -98,184 +127,116 @@ std::vector<std::pair<std::size_t, std::size_t>> local_intervals(
   return iv;
 }
 
-/// The stage's pw x pw diagonal block of the broadcast packet, narrowed to
-/// the local scalar (identity copy for T = double; values only, the TRSM
-/// reads it immutably).
+/// Gathers stage bk's panel to its root and factors it there. Panel-column
+/// ranks send their rows with global index >= k0 as
+/// [count, (global_row, pw values)...]; the root assembles them, factors in
+/// the local scalar and returns the broadcast packet
+/// [pw absolute pivots | (n-k0) x pw factors]. Empty on every other rank.
 template <class T>
-Matrix<T> l11_from_packet(const double* panel_data, std::size_t pw) {
-  Matrix<T> l11(pw, pw);
-  for (std::size_t r = 0; r < pw; ++r)
-    for (std::size_t c = 0; c < pw; ++c)
-      l11(r, c) = static_cast<T>(panel_data[r * pw + c]);
-  return l11;
-}
-
-/// Packs this rank's rows with global index >= k0 of the pw panel columns:
-/// [count, (global_row, pw values)...].
-template <class T>
-Payload pack_panel_rows(const RankContext<T>& ctx, std::size_t k0,
-                        std::size_t pw) {
-  const BlockCyclic& dist = *ctx.dist;
-  const std::size_t lc0 = ctx.local_col_lower_bound(k0);
-  const std::size_t lr0 = ctx.local_row_lower_bound(k0);
+Payload gather_and_factor(RankContext<T>& ctx, std::size_t bk) {
+  const Stage st = stage_of(ctx.dist, bk);
+  if (ctx.pcol != st.pcol) return {};
+  const std::size_t n = ctx.dist.n();
+  const std::size_t lc0 = ctx.local_col_lower_bound(st.k0);
+  const std::size_t lr0 = ctx.local_row_lower_bound(st.k0);
   Payload mine;
   mine.push_back(static_cast<double>(ctx.lrows() - lr0));
   for (std::size_t lr = lr0; lr < ctx.lrows(); ++lr) {
-    mine.push_back(static_cast<double>(dist.global_row(ctx.prow, lr)));
-    for (std::size_t c = 0; c < pw; ++c)
+    mine.push_back(static_cast<double>(ctx.dist.global_row(ctx.prow, lr)));
+    for (std::size_t c = 0; c < st.pw; ++c)
       mine.push_back(static_cast<double>(ctx.local(lr, lc0 + c)));
   }
-  return mine;
-}
+  const int gather_tag = st.tag + kTagPanelGather;
+  if (ctx.comm.rank() != st.root) {
+    ctx.comm.send(st.root, gather_tag, std::move(mine));
+    return {};
+  }
 
-/// Root only: assembles the gathered panel rows for stage bk (own message
-/// plus one per other process row of the panel column), factors it in the
-/// local scalar, and builds the broadcast packet
-/// [pw absolute pivots | (n-k0) x pw factors].
-template <class T>
-Payload assemble_and_factor(RankContext<T>& ctx, std::size_t bk,
-                            Payload mine) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t k0 = bk * nb;
-  const std::size_t pw = std::min(nb, n - k0);
-  const int pc = static_cast<int>(bk % grid.q);
-  const int gather_tag = static_cast<int>(bk) * kTagStride + kTagPanelGather;
-
-  std::vector<T> assembled((n - k0) * pw, T(0));
+  std::vector<T> assembled((n - st.k0) * st.pw, T(0));
   auto unpack = [&](const Payload& msg) {
     std::size_t pos = 0;
     const std::size_t count = static_cast<std::size_t>(msg[pos++]);
     for (std::size_t r = 0; r < count; ++r) {
       const std::size_t g = static_cast<std::size_t>(msg[pos++]);
-      for (std::size_t c = 0; c < pw; ++c)
-        assembled[(g - k0) * pw + c] = static_cast<T>(msg[pos + c]);
-      pos += pw;
+      for (std::size_t c = 0; c < st.pw; ++c)
+        assembled[(g - st.k0) * st.pw + c] = static_cast<T>(msg[pos + c]);
+      pos += st.pw;
     }
   };
   const double t_gather = ctx.now();
   unpack(mine);
-  for (int prow = 0; prow < grid.p; ++prow) {
-    const int src = grid.rank_of(prow, pc);
-    if (src == comm.rank()) continue;
-    unpack(comm.recv(src, gather_tag));
+  for (int prow = 0; prow < ctx.dist.grid().p; ++prow) {
+    const int src = ctx.dist.grid().rank_of(prow, st.pcol);
+    if (src != st.root) unpack(ctx.comm.recv(src, gather_tag));
   }
   ctx.record(SpanKind::kBroadcast, t_gather);
 
   const double t_factor = ctx.now();
-  MatrixView<T> panel(assembled.data(), n - k0, pw, pw);
-  std::vector<std::size_t> piv(pw);
-  blas::PanelOptions popt;
-  if (ctx.options != nullptr) {
-    if (ctx.options->panel_nb_min != 0) popt.nb_min = ctx.options->panel_nb_min;
-    popt.laswp_col_chunk = ctx.options->laswp_col_chunk;
-    popt.microkernel = ctx.options->microkernel;
-  }
-  const bool ok = blas::getrf_panel<T>(panel, piv, popt);
+  std::vector<std::size_t> piv(st.pw);
+  const bool ok = blas::factor_stage_panel<T>(
+      MatrixView<T>(assembled.data(), n - st.k0, st.pw, st.pw), piv, st.k0,
+      ctx.panel);
   assert(ok && "singular panel in distributed HPL");
   (void)ok;
   ctx.record(SpanKind::kPanelFactor, t_factor);
 
   Payload packet;
-  packet.reserve(pw + assembled.size());
-  for (std::size_t t = 0; t < pw; ++t)
-    packet.push_back(static_cast<double>(piv[t] + k0));  // absolute global
+  packet.reserve(st.pw + assembled.size());
+  for (const std::size_t p : piv) packet.push_back(static_cast<double>(p));
   for (const T v : assembled) packet.push_back(static_cast<double>(v));
   return packet;
 }
 
-/// Blocking panel production for stage bk (the kNone path and stage 0 of
-/// the look-ahead schemes): gather to the stage root, factor there, and
-/// binomial-broadcast the packet to every rank.
+/// Blocking panel production for stage bk (stage 0, and every stage under
+/// kNone): gather to the stage root, factor there, and broadcast the packet
+/// to every rank.
 template <class T>
 Payload produce_packet_blocking(RankContext<T>& ctx, std::size_t bk) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t k0 = bk * nb;
-  const std::size_t pw = std::min(nb, n - k0);
-  const int pc = static_cast<int>(bk % grid.q);
-  const int pr = static_cast<int>(bk % grid.p);
-  const int root = grid.rank_of(pr, pc);
-  const int stage_tag = static_cast<int>(bk) * kTagStride;
-
-  Payload packet;
-  if (ctx.pcol == pc) {
-    Payload mine = pack_panel_rows(ctx, k0, pw);
-    if (comm.rank() != root) {
-      comm.send(root, stage_tag + kTagPanelGather, std::move(mine));
-    } else {
-      packet = assemble_and_factor(ctx, bk, std::move(mine));
-    }
-  }
-  std::vector<int> everyone(grid.ranks());
-  for (int r = 0; r < grid.ranks(); ++r) everyone[r] = r;
+  const Stage st = stage_of(ctx.dist, bk);
+  Payload packet = gather_and_factor(ctx, bk);
   const double t0 = ctx.now();
   // Every rank derives the same packet length from the stage geometry
   // ([pw pivots | (n-k0) x pw factors]), which is what lets the adaptive
   // dispatch agree group-wide before receivers hold any bytes.
-  packet = comm.bcast_auto(root, everyone, std::move(packet),
-                           stage_tag + kTagPanelBcast, pw + (n - k0) * pw);
+  packet = ctx.comm.bcast_auto(st.root, ctx.everyone(), std::move(packet),
+                               st.tag + kTagPanelBcast,
+                               st.pw + (ctx.dist.n() - st.k0) * st.pw);
   ctx.record(SpanKind::kBroadcast, t0);
   return packet;
 }
 
-/// Pending look-ahead panel: either the packet itself (the factoring root)
-/// or an irecv Request for it (everyone else).
+/// Pending look-ahead panel: the packet itself on the factoring root, an
+/// irecv Request for it everywhere else.
 struct PanelLaunch {
-  bool have = false;
   Payload packet;
   Request req;
 };
 
-/// Look-ahead start of stage nbk's panel: panel-column ranks isend their
-/// rows to the stage root; the root assembles, factors, and isends the
-/// packet to every other rank (flat fan-out — the pipelined broadcast depth
-/// is the simulator's concern, the functional path needs the overlap
-/// structure); everyone else posts an irecv and keeps computing.
+/// Look-ahead start of stage nbk's panel: the gather/factor of
+/// gather_and_factor, then the root isends the packet to every other rank
+/// (flat fan-out — the pipelined broadcast depth is the simulator's
+/// concern, the functional path needs the overlap structure) while everyone
+/// else posts an irecv and keeps computing.
 template <class T>
 PanelLaunch start_panel(RankContext<T>& ctx, std::size_t nbk) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t nk0 = nbk * nb;
-  const std::size_t npw = std::min(nb, n - nk0);
-  const int npc = static_cast<int>(nbk % grid.q);
-  const int npr = static_cast<int>(nbk % grid.p);
-  const int nroot = grid.rank_of(npr, npc);
-  const int stage_tag = static_cast<int>(nbk) * kTagStride;
-
+  const Stage st = stage_of(ctx.dist, nbk);
+  const int tag = st.tag + kTagPanelBcast;
   PanelLaunch launch;
-  if (ctx.pcol == npc) {
-    Payload mine = pack_panel_rows(ctx, nk0, npw);
-    if (comm.rank() != nroot) {
-      comm.isend(nroot, stage_tag + kTagPanelGather, std::move(mine));
-    } else {
-      Payload packet = assemble_and_factor(ctx, nbk, std::move(mine));
-      const double t0 = ctx.now();
-      for (int r = 0; r < grid.ranks(); ++r)
-        if (r != comm.rank())
-          comm.isend(r, stage_tag + kTagPanelBcast, packet);
-      ctx.record(SpanKind::kBroadcast, t0);
-      launch.have = true;
-      launch.packet = std::move(packet);
-    }
+  launch.packet = gather_and_factor(ctx, nbk);
+  if (ctx.comm.rank() != st.root) {
+    launch.req = ctx.comm.irecv(st.root, tag);
+    return launch;
   }
-  if (comm.rank() != nroot)
-    launch.req = comm.irecv(nroot, stage_tag + kTagPanelBcast);
+  const double t0 = ctx.now();
+  for (int r = 0; r < ctx.dist.grid().ranks(); ++r)
+    if (r != st.root) ctx.comm.isend(r, tag, launch.packet);
+  ctx.record(SpanKind::kBroadcast, t0);
   return launch;
 }
 
 template <class T>
 Payload finish_panel(RankContext<T>& ctx, PanelLaunch launch) {
-  if (launch.have) return std::move(launch.packet);
+  if (!launch.packet.empty()) return std::move(launch.packet);
   const double t0 = ctx.now();
   Payload packet = launch.req.take();
   ctx.record(SpanKind::kBroadcast, t0);
@@ -286,11 +247,10 @@ Payload finish_panel(RankContext<T>& ctx, PanelLaunch launch) {
 template <class T>
 void write_back_panel(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
                       const double* panel_data) {
-  const BlockCyclic& dist = *ctx.dist;
   const std::size_t lc0 = ctx.local_col_lower_bound(k0);
   const std::size_t lr0 = ctx.local_row_lower_bound(k0);
   for (std::size_t lr = lr0; lr < ctx.lrows(); ++lr) {
-    const std::size_t g = dist.global_row(ctx.prow, lr);
+    const std::size_t g = ctx.dist.global_row(ctx.prow, lr);
     for (std::size_t c = 0; c < pw; ++c)
       ctx.local(lr, lc0 + c) = static_cast<T>(panel_data[(g - k0) * pw + c]);
   }
@@ -298,159 +258,62 @@ void write_back_panel(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
 
 /// Applies the stage's row interchanges to the local columns covered by
 /// `ranges` (global column spans; the pw panel columns must not be inside
-/// them — they were already swapped during the panel factorization).
+/// them — they were already swapped during the panel factorization). Each
+/// cross-row swap is a point-to-point exchange between the two owner rows.
 template <class T>
 void swap_rows_ranges(RankContext<T>& ctx, int tag, const double* ipiv_stage,
                       std::size_t k0, std::size_t pw,
                       const std::vector<ColSpan>& ranges) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
+  const BlockCyclic& dist = ctx.dist;
   const auto iv = local_intervals(ctx, ranges);
   std::size_t width = 0;
   for (const auto& [lo, hi] : iv) width += hi - lo;
   if (width == 0) return;  // consistent across the process column
 
   const double t0 = ctx.now();
-  auto copy_row_segment = [&](std::size_t lr, Payload& out) {
+  // Rank-local swaps are batched into a SwapPlan and applied in one fused
+  // cache-blocked pass per flush (blas::laswp_fused over each local column
+  // interval). Buffered swaps commute with remote exchanges this rank does
+  // not participate in; a remote exchange this rank *does* join may read or
+  // write a buffered row, so the plan flushes right before it.
+  blas::SwapPlan local_plan;
+  auto flush_local = [&] {
+    if (local_plan.empty()) return;
+    local_plan.finalize();  // compose once, apply to every interval
     for (const auto& [lo, hi] : iv)
-      for (std::size_t c = lo; c < hi; ++c)
-        out.push_back(static_cast<double>(ctx.local(lr, c)));
+      blas::laswp_fused<T>(
+          ctx.local.view().block(0, lo, ctx.local.rows(), hi - lo),
+          local_plan, /*pool=*/nullptr, ctx.panel.laswp_col_chunk);
+    local_plan = blas::SwapPlan{};
   };
-  auto write_row_segment = [&](std::size_t lr, const double* in) {
-    std::size_t pos = 0;
-    for (const auto& [lo, hi] : iv)
-      for (std::size_t c = lo; c < hi; ++c)
-        ctx.local(lr, c) = static_cast<T>(in[pos++]);
-  };
-  const SwapAlgorithm swap_alg = ctx.options != nullptr
-                                     ? ctx.options->swap_algorithm
-                                     : SwapAlgorithm::kPairwise;
-  if (swap_alg == SwapAlgorithm::kPairwise) {
-    // Rank-local swaps are batched into a SwapPlan and applied in one fused
-    // cache-blocked pass per flush (blas::laswp_fused over each local column
-    // interval). Buffered swaps commute with remote exchanges this rank does
-    // not participate in; a remote exchange this rank *does* join may read or
-    // write a buffered row, so the plan flushes right before it.
-    std::size_t col_chunk = ctx.options != nullptr &&
-                                    ctx.options->laswp_col_chunk != 0
-                                ? ctx.options->laswp_col_chunk
-                                : blas::kLaswpColChunk;
-    blas::SwapPlan local_plan;
-    auto flush_local = [&] {
-      if (local_plan.empty()) return;
-      local_plan.finalize();  // compose once, apply to every interval
-      for (const auto& [lo, hi] : iv) {
-        auto region =
-            ctx.local.view().block(0, lo, ctx.local.rows(), hi - lo);
-        blas::laswp_fused<T>(region, local_plan, /*pool=*/nullptr,
-                             col_chunk);
-      }
-      local_plan = blas::SwapPlan{};
-    };
-    for (std::size_t t = 0; t < pw; ++t) {
-      const std::size_t r1 = k0 + t;
-      const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
-      if (r1 == r2) continue;
-      const int o1 = dist.owner_prow(r1);
-      const int o2 = dist.owner_prow(r2);
-      if (o1 == o2) {
-        if (ctx.prow == o1)
-          local_plan.pairs.emplace_back(dist.local_row(r1),
-                                        dist.local_row(r2));
-      } else if (ctx.prow == o1 || ctx.prow == o2) {
-        flush_local();
-        const std::size_t mine = ctx.prow == o1 ? r1 : r2;
-        const int partner_prow = ctx.prow == o1 ? o2 : o1;
-        const int partner = grid.rank_of(partner_prow, ctx.pcol);
-        Payload out;
-        out.reserve(width);
-        copy_row_segment(dist.local_row(mine), out);
-        comm.send(partner, tag, std::move(out));
-        const Payload in = comm.recv(partner, tag);
-        write_row_segment(dist.local_row(mine), in.data());
-      }
-    }
-    flush_local();
-  } else {
-    // "Long" swap: gather every involved row segment at the stage's root
-    // process row, apply the whole interchange sequence there, scatter back.
-    std::vector<std::size_t> involved;
-    for (std::size_t t = 0; t < pw; ++t) {
-      const std::size_t r1 = k0 + t;
-      const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
-      if (r1 == r2) continue;
-      for (std::size_t r : {r1, r2})
-        if (std::find(involved.begin(), involved.end(), r) == involved.end())
-          involved.push_back(r);
-    }
-    if (!involved.empty()) {
-      const int root_prow = static_cast<int>((k0 / dist.nb()) % grid.p);
-      const int swap_root = grid.rank_of(root_prow, ctx.pcol);
-      // Send my owned involved-row segments to the swap root.
-      Payload mine;
-      std::vector<std::size_t> my_rows;
-      for (std::size_t r : involved)
-        if (dist.owner_prow(r) == ctx.prow) my_rows.push_back(r);
-      mine.push_back(static_cast<double>(my_rows.size()));
-      for (std::size_t r : my_rows) {
-        mine.push_back(static_cast<double>(r));
-        copy_row_segment(dist.local_row(r), mine);
-      }
-      comm.send(swap_root, tag, std::move(mine));
-      if (comm.rank() == swap_root) {
-        // Collect all segments into row -> contents.
-        std::vector<Payload> contents(involved.size());
-        for (int prow = 0; prow < grid.p; ++prow) {
-          const Payload msg = comm.recv(grid.rank_of(prow, ctx.pcol), tag);
-          std::size_t pos = 0;
-          const std::size_t count = static_cast<std::size_t>(msg[pos++]);
-          for (std::size_t i = 0; i < count; ++i) {
-            const std::size_t r = static_cast<std::size_t>(msg[pos++]);
-            const auto it = std::find(involved.begin(), involved.end(), r);
-            contents[it - involved.begin()].assign(msg.begin() + pos,
-                                                   msg.begin() + pos + width);
-            pos += width;
-          }
-        }
-        // Apply the interchange sequence on the gathered rows.
-        auto slot_of = [&](std::size_t r) {
-          return static_cast<std::size_t>(
-              std::find(involved.begin(), involved.end(), r) -
-              involved.begin());
-        };
-        for (std::size_t t = 0; t < pw; ++t) {
-          const std::size_t r1 = k0 + t;
-          const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
-          if (r1 != r2) std::swap(contents[slot_of(r1)], contents[slot_of(r2)]);
-        }
-        // Scatter the permuted rows back to their owners.
-        for (int prow = 0; prow < grid.p; ++prow) {
-          Payload out;
-          std::size_t count = 0;
-          Payload body;
-          for (std::size_t i = 0; i < involved.size(); ++i) {
-            if (dist.owner_prow(involved[i]) != prow) continue;
-            ++count;
-            body.push_back(static_cast<double>(involved[i]));
-            body.insert(body.end(), contents[i].begin(), contents[i].end());
-          }
-          out.push_back(static_cast<double>(count));
-          out.insert(out.end(), body.begin(), body.end());
-          comm.send(grid.rank_of(prow, ctx.pcol), tag, std::move(out));
-        }
-      }
-      // Receive my rows' new contents.
-      const Payload back = comm.recv(swap_root, tag);
+  for (std::size_t t = 0; t < pw; ++t) {
+    const std::size_t r1 = k0 + t;
+    const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
+    if (r1 == r2) continue;
+    const int o1 = dist.owner_prow(r1);
+    const int o2 = dist.owner_prow(r2);
+    if (o1 == o2) {
+      if (ctx.prow == o1)
+        local_plan.pairs.emplace_back(dist.local_row(r1), dist.local_row(r2));
+    } else if (ctx.prow == o1 || ctx.prow == o2) {
+      flush_local();
+      const std::size_t lr = dist.local_row(ctx.prow == o1 ? r1 : r2);
+      const int partner =
+          dist.grid().rank_of(ctx.prow == o1 ? o2 : o1, ctx.pcol);
+      Payload out;
+      out.reserve(width);
+      for (const auto& [lo, hi] : iv)
+        for (std::size_t c = lo; c < hi; ++c)
+          out.push_back(static_cast<double>(ctx.local(lr, c)));
+      ctx.comm.send(partner, tag, std::move(out));
+      const Payload in = ctx.comm.recv(partner, tag);
       std::size_t pos = 0;
-      const std::size_t count = static_cast<std::size_t>(back[pos++]);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t r = static_cast<std::size_t>(back[pos++]);
-        write_row_segment(dist.local_row(r), &back[pos]);
-        pos += width;
-      }
+      for (const auto& [lo, hi] : iv)
+        for (std::size_t c = lo; c < hi; ++c)
+          ctx.local(lr, c) = static_cast<T>(in[pos++]);
     }
   }
+  flush_local();
   ctx.record(SpanKind::kRowSwap, t0);
 }
 
@@ -463,64 +326,69 @@ struct USlot {
   Request req;
 };
 
-/// Owner-row half of a pipelined U start: solves L11 * U = A12 for the
-/// slot's columns and isends the result down the process column.
+/// Owner-row U solve: L11 * U = A12 in place on the stage rows of the
+/// slot's local columns, with L11 taken from the broadcast packet (narrowed
+/// to the local scalar). Returns the solved block, widened for transport.
 template <class T>
-void owner_solve_and_send_u(RankContext<T>& ctx, std::size_t bk, int subset,
-                            std::size_t k0, std::size_t pw,
-                            const double* panel_data, USlot& slot) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast + subset;
-  const std::size_t lr0 = dist.local_row(k0);
+Payload solve_local_u(RankContext<T>& ctx, const Stage& st,
+                      const double* panel_data, const USlot& slot) {
   const double t0 = ctx.now();
-  Matrix<T> u(pw, slot.width);
-  for (std::size_t r = 0; r < pw; ++r)
-    for (std::size_t c = 0; c < slot.width; ++c)
-      u(r, c) = ctx.local(lr0 + r, slot.lc0 + c);
-  const Matrix<T> l11 = l11_from_packet<T>(panel_data, pw);
-  blas::trsm_left_lower_unit<T>(l11.view(), u.view());
-  for (std::size_t r = 0; r < pw; ++r)
-    for (std::size_t c = 0; c < slot.width; ++c)
-      ctx.local(lr0 + r, slot.lc0 + c) = u(r, c);
+  Matrix<T> l11(st.pw, st.pw);
+  for (std::size_t r = 0; r < st.pw; ++r)
+    for (std::size_t c = 0; c < st.pw; ++c)
+      l11(r, c) = static_cast<T>(panel_data[r * st.pw + c]);
+  const auto u = ctx.local.view().block(ctx.dist.local_row(st.k0), slot.lc0,
+                                        st.pw, slot.width);
+  blas::trsm_left_lower_unit<T>(l11.view(), u);
   ctx.record(SpanKind::kTrsm, t0);
-  slot.u.resize(pw * slot.width);
-  for (std::size_t i = 0; i < pw * slot.width; ++i)
-    slot.u[i] = static_cast<double>(u.data()[i]);
-  const double t1 = ctx.now();
-  for (int prow = 0; prow < grid.p; ++prow)
-    if (prow != ctx.prow) comm.isend(grid.rank_of(prow, ctx.pcol), tag, slot.u);
-  ctx.record(SpanKind::kBroadcast, t1);
+  Payload out;
+  out.reserve(st.pw * slot.width);
+  for (std::size_t r = 0; r < st.pw; ++r)
+    for (std::size_t c = 0; c < slot.width; ++c)
+      out.push_back(static_cast<double>(u(r, c)));
+  return out;
 }
 
-/// Pipelined U start for one column subset: the owner row solves
-/// L11 * U = A12 for the subset's columns and isends the result down its
-/// process column (unless `defer_solve` — then owner_solve_and_send_u must
-/// be called later, letting the wide solve slide off the critical path);
-/// other rows post an irecv. No-op when the subset has no local columns
-/// (consistent across the process column).
+/// Locates the U slot of global columns `cols` on this rank.
 template <class T>
-USlot start_u(RankContext<T>& ctx, std::size_t bk, int subset, std::size_t k0,
-              std::size_t pw, const double* panel_data, ColSpan cols,
-              bool defer_solve = false) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const int pr = static_cast<int>(bk % grid.p);
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast + subset;
-
+USlot u_slot(const RankContext<T>& ctx, const Stage& st, ColSpan cols) {
   USlot slot;
   slot.lc0 = ctx.local_col_lower_bound(cols.g0);
   slot.width = ctx.local_col_lower_bound(cols.g1) - slot.lc0;
-  slot.owner = ctx.prow == pr;
+  slot.owner = ctx.prow == st.prow;
+  return slot;
+}
+
+/// Owner-row half of a pipelined U start: solves the slot's U block and
+/// isends it down the process column.
+template <class T>
+void owner_solve_and_send_u(RankContext<T>& ctx, const Stage& st, int subset,
+                            const double* panel_data, USlot& slot) {
+  slot.u = solve_local_u(ctx, st, panel_data, slot);
+  const double t0 = ctx.now();
+  for (int prow = 0; prow < ctx.dist.grid().p; ++prow)
+    if (prow != ctx.prow)
+      ctx.comm.isend(ctx.dist.grid().rank_of(prow, ctx.pcol),
+                     st.tag + kTagU + subset, slot.u);
+  ctx.record(SpanKind::kBroadcast, t0);
+}
+
+/// Pipelined U start for one column subset: the owner row solves and
+/// isends (unless `defer_solve` — then owner_solve_and_send_u must be called
+/// later, letting the wide solve slide off the critical path); other rows
+/// post an irecv. No-op when the subset has no local columns (consistent
+/// across the process column).
+template <class T>
+USlot start_u(RankContext<T>& ctx, const Stage& st, int subset,
+              const double* panel_data, ColSpan cols,
+              bool defer_solve = false) {
+  USlot slot = u_slot(ctx, st, cols);
   if (slot.width == 0) return slot;
-  if (slot.owner) {
-    if (!defer_solve) owner_solve_and_send_u(ctx, bk, subset, k0, pw,
-                                             panel_data, slot);
-  } else {
-    slot.req = comm.irecv(grid.rank_of(pr, ctx.pcol), tag);
-  }
+  if (!slot.owner)
+    slot.req = ctx.comm.irecv(ctx.dist.grid().rank_of(st.prow, ctx.pcol),
+                              st.tag + kTagU + subset);
+  else if (!defer_solve)
+    owner_solve_and_send_u(ctx, st, subset, panel_data, slot);
   return slot;
 }
 
@@ -534,49 +402,25 @@ void wait_u(RankContext<T>& ctx, USlot& slot) {
   ctx.record(SpanKind::kBroadcast, t0);
 }
 
-/// Blocking full-width U solve + binomial broadcast down each process
-/// column (the kNone/kBasic path). Returns a USlot with the payload in hand.
+/// Blocking full-width U solve + broadcast down each process column (the
+/// kNone/kBasic path). Returns a USlot with the payload in hand.
 template <class T>
-USlot solve_and_bcast_u(RankContext<T>& ctx, std::size_t bk, std::size_t k0,
-                        std::size_t pw, const double* panel_data,
-                        ColSpan cols) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const int pr = static_cast<int>(bk % grid.p);
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast;
-
-  USlot slot;
-  slot.lc0 = ctx.local_col_lower_bound(cols.g0);
-  slot.width = ctx.local_col_lower_bound(cols.g1) - slot.lc0;
-  slot.owner = true;  // payload in hand after the broadcast below
+USlot solve_and_bcast_u(RankContext<T>& ctx, const Stage& st,
+                        const double* panel_data, ColSpan cols) {
+  USlot slot = u_slot(ctx, st, cols);
   if (slot.width == 0) return slot;
-  if (ctx.prow == pr) {
-    const std::size_t lr0 = dist.local_row(k0);
-    const double t0 = ctx.now();
-    Matrix<T> u(pw, slot.width);
-    for (std::size_t r = 0; r < pw; ++r)
-      for (std::size_t c = 0; c < slot.width; ++c)
-        u(r, c) = ctx.local(lr0 + r, slot.lc0 + c);
-    const Matrix<T> l11 = l11_from_packet<T>(panel_data, pw);
-    blas::trsm_left_lower_unit<T>(l11.view(), u.view());
-    for (std::size_t r = 0; r < pw; ++r)
-      for (std::size_t c = 0; c < slot.width; ++c)
-        ctx.local(lr0 + r, slot.lc0 + c) = u(r, c);
-    ctx.record(SpanKind::kTrsm, t0);
-    slot.u.resize(pw * slot.width);
-    for (std::size_t i = 0; i < pw * slot.width; ++i)
-      slot.u[i] = static_cast<double>(u.data()[i]);
-  }
+  if (slot.owner) slot.u = solve_local_u(ctx, st, panel_data, slot);
+  slot.owner = true;  // payload in hand after the broadcast below
   std::vector<int> col_group;
-  for (int prow = 0; prow < grid.p; ++prow)
-    col_group.push_back(grid.rank_of(prow, ctx.pcol));
-  const double t1 = ctx.now();
+  for (int prow = 0; prow < ctx.dist.grid().p; ++prow)
+    col_group.push_back(ctx.dist.grid().rank_of(prow, ctx.pcol));
+  const double t0 = ctx.now();
   // The whole process column shares pcol, hence the same local width — the
   // pw x width hint is identical down the group.
-  slot.u = comm.bcast_auto(grid.rank_of(pr, ctx.pcol), col_group,
-                           std::move(slot.u), tag, pw * slot.width);
-  ctx.record(SpanKind::kBroadcast, t1);
+  slot.u = ctx.comm.bcast_auto(ctx.dist.grid().rank_of(st.prow, ctx.pcol),
+                               col_group, std::move(slot.u), st.tag + kTagU,
+                               st.pw * slot.width);
+  ctx.record(SpanKind::kBroadcast, t0);
   return slot;
 }
 
@@ -585,10 +429,9 @@ template <class T>
 Matrix<T> build_l21(const RankContext<T>& ctx, std::size_t k0,
                     std::size_t pw, const double* panel_data,
                     std::size_t lr_trail, std::size_t m_loc) {
-  const BlockCyclic& dist = *ctx.dist;
   Matrix<T> l21(m_loc, pw);
   for (std::size_t r = 0; r < m_loc; ++r) {
-    const std::size_t g = dist.global_row(ctx.prow, lr_trail + r);
+    const std::size_t g = ctx.dist.global_row(ctx.prow, lr_trail + r);
     for (std::size_t c = 0; c < pw; ++c)
       l21(r, c) = static_cast<T>(panel_data[(g - k0) * pw + c]);
   }
@@ -612,10 +455,10 @@ void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
   MatrixView<const double> u(slot.u.data() + (lo - slot.lc0), pw, hi - lo,
                              slot.width);
   auto a22 = ctx.local.block(lr_trail, lo, m_loc, hi - lo);
-  if (ctx.options != nullptr && ctx.options->use_offload_engine) {
+  if (ctx.options.use_offload_engine) {
     if constexpr (std::is_same_v<T, double>) {
       core::offload_gemm_functional(-1.0, l21.view(), u, a22,
-                                    ctx.options->offload);
+                                    ctx.options.offload);
     } else {
       // The offload engine computes in fp64. Widen the fp32 operands and
       // the update target (exact), run the engine, narrow the result back —
@@ -630,109 +473,84 @@ void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
         for (std::size_t c = 0; c < hi - lo; ++c)
           a22d(r, c) = static_cast<double>(a22(r, c));
       core::offload_gemm_functional(-1.0, l21d.view(), u, a22d.view(),
-                                    ctx.options->offload);
+                                    ctx.options.offload);
       for (std::size_t r = 0; r < m_loc; ++r)
         for (std::size_t c = 0; c < hi - lo; ++c)
           a22(r, c) = static_cast<T>(a22d(r, c));
     }
+  } else if constexpr (std::is_same_v<T, double>) {
+    blas::GemmTiledUpdate{}(l21.view(), u, a22, ctx.panel);
   } else {
-    blas::GemmOptions go;
-    go.chunk_k = pw;
-    go.kernel = ctx.options != nullptr ? ctx.options->microkernel : 0;
-    if constexpr (std::is_same_v<T, double>) {
-      blas::gemm_tiled<double>(-1.0, l21.view(), u, 1.0, a22, go);
-    } else {
-      // Narrow the (exactly widened) U payload back to the local scalar;
-      // packing from the contiguous copy yields the same packed operand as
-      // packing the strided view would.
-      Matrix<T> um(pw, hi - lo);
-      for (std::size_t r = 0; r < pw; ++r)
-        for (std::size_t c = 0; c < hi - lo; ++c)
-          um(r, c) = static_cast<T>(u(r, c));
-      blas::gemm_tiled<T>(T(-1), l21.view(), um.view(), T(1), a22, go);
-    }
+    // Narrow the (exactly widened) U payload back to the local scalar;
+    // packing from the contiguous copy yields the same packed operand as
+    // packing the strided view would.
+    Matrix<T> um(pw, hi - lo);
+    for (std::size_t r = 0; r < pw; ++r)
+      for (std::size_t c = 0; c < hi - lo; ++c)
+        um(r, c) = static_cast<T>(u(r, c));
+    blas::GemmTiledUpdate{}(l21.view(), um.view(), a22, ctx.panel);
   }
   ctx.record(SpanKind::kGemm, t0);
 }
 
-/// One fully blocking LU stage (Lookahead::kNone — Figure 8a).
+/// One LU stage under any look-ahead scheme (Figure 8). Consumes this
+/// stage's factored packet and returns the next stage's:
+///   kNone      — one full-width swap, U solve/broadcast and trailing
+///                update, then the next panel's blocking gather/factor/
+///                broadcast (Figure 8a: the same loop with no overlap);
+///   kBasic     — the next panel's columns are updated first and its panel
+///                started (isend) before the rest of the update, which hides
+///                the factorization (Figure 8b);
+///   kPipelined — additionally, the next panel's U block is solved and sent
+///                on its own, and the remaining subsets' U travels as one
+///                coalesced message per process row whose wide DTRSM the
+///                owner row defers until after the panel launch, consumed
+///                subset by subset (Figure 8c).
+/// The row swap is a single exchange per rank pair covering every subset at
+/// once (permutation-identical to per-subset swaps), and no scheme changes
+/// a per-element accumulation order, so all three produce the same bits.
 template <class T>
-void run_stage_blocking(RankContext<T>& ctx, std::size_t bk,
-                        std::vector<double>& ipiv_all) {
-  const BlockCyclic& dist = *ctx.dist;
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t k0 = bk * nb;
-  const std::size_t pw = std::min(nb, n - k0);
-  const int pc = static_cast<int>(bk % dist.grid().q);
-  const int stage_tag = static_cast<int>(bk) * kTagStride;
-
-  const Payload packet = produce_packet_blocking(ctx, bk);
-  const double* ipiv_stage = packet.data();
-  const double* panel_data = packet.data() + pw;
-  for (std::size_t t = 0; t < pw; ++t) ipiv_all.push_back(ipiv_stage[t]);
-  if (ctx.pcol == pc) write_back_panel(ctx, k0, pw, panel_data);
-
-  swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
-                   {{0, k0}, {k0 + pw, n}});
-
-  if (k0 + pw >= n) return;  // no trailing matrix
-  const ColSpan trail{k0 + pw, n};
-  const USlot u = solve_and_bcast_u(ctx, bk, k0, pw, panel_data, trail);
-  const std::size_t lr_trail = ctx.local_row_lower_bound(k0 + pw);
-  const std::size_t m_loc = ctx.lrows() - lr_trail;
-  if (m_loc == 0 || u.width == 0) return;
-  const Matrix<T> l21 = build_l21(ctx, k0, pw, panel_data, lr_trail, m_loc);
-  update_range(ctx, pw, l21, lr_trail, m_loc, u, trail);
-}
-
-/// One look-ahead LU stage (kBasic — Figure 8b, kPipelined — Figure 8c).
-/// Consumes this stage's already-factored packet and returns the next
-/// stage's (factored while this stage's trailing update ran).
-template <class T>
-Payload run_stage_lookahead(RankContext<T>& ctx, std::size_t bk,
-                            Payload packet, std::vector<double>& ipiv_all) {
-  const BlockCyclic& dist = *ctx.dist;
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t k0 = bk * nb;
-  const std::size_t pw = std::min(nb, n - k0);
-  const int pc = static_cast<int>(bk % dist.grid().q);
-  const int stage_tag = static_cast<int>(bk) * kTagStride;
+Payload run_stage(RankContext<T>& ctx, std::size_t bk, Payload packet,
+                  std::vector<double>& ipiv_all) {
+  const std::size_t n = ctx.dist.n();
+  const Stage st = stage_of(ctx.dist, bk);
+  const std::size_t k0 = st.k0, pw = st.pw;
+  const Lookahead la = ctx.options.lookahead;
 
   const double* ipiv_stage = packet.data();
   const double* panel_data = packet.data() + pw;
   for (std::size_t t = 0; t < pw; ++t) ipiv_all.push_back(ipiv_stage[t]);
-  if (ctx.pcol == pc) write_back_panel(ctx, k0, pw, panel_data);
+  if (ctx.pcol == st.pcol) write_back_panel(ctx, k0, pw, panel_data);
 
   const std::size_t trail_g0 = k0 + pw;
   if (trail_g0 >= n) {
     // Last stage: still apply the interchanges to the factored left part.
-    swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw, {{0, k0}});
+    swap_rows_ranges(ctx, st.tag + kTagSwap, ipiv_stage, k0, pw, {{0, k0}});
     return {};
   }
 
-  // Column subsets of the trailing matrix. Subset 0 is always the next
-  // panel's columns, so the look-ahead panel can start right after its
-  // update; kPipelined splits the rest into further subsets the swap /
-  // DTRSM / U-broadcast stream over.
-  const std::size_t npw = std::min(nb, n - trail_g0);
-  std::vector<ColSpan> subsets{{trail_g0, trail_g0 + npw}};
-  const std::size_t rest0 = trail_g0 + npw;
-  if (rest0 < n) {
+  // Column subsets of the trailing matrix. Under look-ahead subset 0 is the
+  // next panel's columns, so the next panel can start right after their
+  // update; kPipelined splits the rest into further subsets the DTRSM /
+  // U-broadcast stream over. kNone updates the trailing matrix in one piece.
+  const std::size_t split =
+      la == Lookahead::kNone ? n : std::min(n, trail_g0 + ctx.dist.nb());
+  std::vector<ColSpan> subsets{{trail_g0, split}};
+  if (split < n) {
     std::size_t parts = 1;
-    if (ctx.options->lookahead == Lookahead::kPipelined) {
-      const int want = std::clamp(ctx.options->pipeline_subsets, 1,
-                                  kMaxSubsets) - 1;
-      parts = std::clamp<std::size_t>(want, 1, n - rest0);
+    if (la == Lookahead::kPipelined) {
+      const int want =
+          std::clamp(ctx.options.pipeline_subsets, 1, kMaxSubsets) - 1;
+      parts = std::clamp<std::size_t>(want, 1, n - split);
     }
     for (std::size_t i = 0; i < parts; ++i) {
-      const std::size_t w = n - rest0;
-      const std::size_t lo = rest0 + i * w / parts;
-      const std::size_t hi = rest0 + (i + 1) * w / parts;
+      const std::size_t w = n - split;
+      const std::size_t lo = split + i * w / parts;
+      const std::size_t hi = split + (i + 1) * w / parts;
       if (hi > lo) subsets.push_back({lo, hi});
     }
   }
+  const std::size_t S = subsets.size();
 
   const std::size_t lr_trail = ctx.local_row_lower_bound(trail_g0);
   const std::size_t m_loc = ctx.lrows() - lr_trail;
@@ -740,193 +558,123 @@ Payload run_stage_lookahead(RankContext<T>& ctx, std::size_t bk,
       m_loc > 0 ? build_l21(ctx, k0, pw, panel_data, lr_trail, m_loc)
                 : Matrix<T>();
 
-  PanelLaunch launch;
-  if (ctx.options->lookahead == Lookahead::kBasic) {
-    // Swap and solve U full-width (exposed, like kNone), then update the
-    // next panel's columns, kick off its factorization, and hide it under
-    // the bulk of the trailing update.
-    swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
-                     {{0, k0}, {trail_g0, n}});
-    const USlot u = solve_and_bcast_u(ctx, bk, k0, pw, panel_data,
-                                      {trail_g0, n});
-    update_range(ctx, pw, l21, lr_trail, m_loc, u, subsets[0]);
-    launch = start_panel(ctx, bk + 1);
-    for (std::size_t s = 1; s < subsets.size(); ++s)
-      update_range(ctx, pw, l21, lr_trail, m_loc, u, subsets[s]);
-  } else {
-    // Pipelined: subset 0's U (just the next panel's columns) is solved and
-    // sent first so its update — and the look-ahead panel launch — start as
-    // early as possible. The remaining subsets travel as ONE coalesced
-    // message per process row (the "subset batch"), and the owner row defers
-    // the batch's wide DTRSM until after the panel launch, hiding it under
-    // the next panel's gather/factor on the other process row, then consumes
-    // it subset by subset. Earlier revisions swapped and broadcast every
-    // subset separately, which tripled the per-stage message count and cost
-    // the scheme its overlap win (see the BENCH_hpl.json history); the row
-    // swap now rides a single exchange per rank pair covering all subsets at
-    // once, which is permutation-identical. Deferring the batch solve is
-    // bitwise-neutral too: the U rows it reads are disjoint (in both rows
-    // and columns) from everything subset 0's update and the panel pack
-    // touch.
-    const std::size_t S = subsets.size();
-    swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
-                     {{0, k0}, {trail_g0, n}});
-    USlot first = start_u(ctx, bk, 0, k0, pw, panel_data, subsets[0]);
-    USlot batch;
+  swap_rows_ranges(ctx, st.tag + kTagSwap, ipiv_stage, k0, pw,
+                   {{0, k0}, {trail_g0, n}});
+  USlot first, batch;
+  if (la == Lookahead::kPipelined) {
+    first = start_u(ctx, st, 0, panel_data, subsets[0]);
     if (S > 1)
-      batch = start_u(ctx, bk, 1, k0, pw, panel_data,
-                      {subsets[1].g0, subsets[S - 1].g1},
+      batch = start_u(ctx, st, 1, panel_data, {subsets[1].g0, n},
                       /*defer_solve=*/true);
     wait_u(ctx, first);
-    update_range(ctx, pw, l21, lr_trail, m_loc, first, subsets[0]);
-    launch = start_panel(ctx, bk + 1);
-    if (S > 1) {
-      if (batch.owner && batch.width > 0)
-        owner_solve_and_send_u(ctx, bk, 1, k0, pw, panel_data, batch);
-      wait_u(ctx, batch);
-      for (std::size_t s = 1; s < S; ++s)
-        update_range(ctx, pw, l21, lr_trail, m_loc, batch, subsets[s]);
-    }
+  } else {
+    first = solve_and_bcast_u(ctx, st, panel_data, {trail_g0, n});
   }
+  update_range(ctx, pw, l21, lr_trail, m_loc, first, subsets[0]);
+  PanelLaunch launch;
+  if (la != Lookahead::kNone) launch = start_panel(ctx, bk + 1);
+  if (la == Lookahead::kPipelined && S > 1) {
+    if (batch.owner && batch.width > 0)
+      owner_solve_and_send_u(ctx, st, 1, panel_data, batch);
+    wait_u(ctx, batch);
+  }
+  const USlot& rest = la == Lookahead::kPipelined ? batch : first;
+  for (std::size_t s = 1; s < S; ++s)
+    update_range(ctx, pw, l21, lr_trail, m_loc, rest, subsets[s]);
+  if (la == Lookahead::kNone) return produce_packet_blocking(ctx, bk + 1);
   return finish_panel(ctx, std::move(launch));
 }
 
-/// Distributed block triangular solves: given the block-cyclic factors and
-/// the (replicated) permuted right-hand side, computes x on every rank via
-/// per-block row reductions to the diagonal owner and broadcasts of each
-/// solved block (forward substitution with unit-lower L, then backward with
-/// U). Arithmetic runs in the local scalar T — for Precision::kMixed this is
-/// exactly "solve through the fp32 factors" — and the returned vector is the
-/// exact widening of the T result. `solve_base` is the first message tag of
-/// the solve's window ((2*blocks + 4)-tags wide plus 4 slack); the
-/// refinement loop re-invokes the solve with a fresh window per iteration.
+/// One distributed block triangular sweep over the block-cyclic factors:
+/// forward substitution with the unit-lower L (`lower`, blocks ascending)
+/// or backward with the non-unit upper U (blocks descending). Each block's
+/// process row reduces its partial sums to the diagonal owner, which solves
+/// the diagonal block and broadcasts it. Arithmetic runs in the local scalar
+/// T — under Precision::kMixed exactly "solve through the fp32 factors".
+/// Uses tags [base, base + 2 * blocks).
 template <class T>
-std::vector<double> distributed_solve(RankContext<T>& ctx,
-                                      const std::vector<double>& rhs,
-                                      int solve_base) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
+std::vector<T> triangular_sweep(RankContext<T>& ctx,
+                                const std::vector<T>& rhs, bool lower,
+                                int base) {
+  const BlockCyclic& dist = ctx.dist;
   const Grid& grid = dist.grid();
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
   const std::size_t blocks = dist.num_blocks();
-  std::vector<int> everyone(grid.ranks());
-  for (int r = 0; r < grid.ranks(); ++r) everyone[r] = r;
-
-  std::vector<T> y(n, T(0));
-
-  // --- Forward: L y = P b (unit lower). Blocks in increasing order. ---
-  for (std::size_t k = 0; k < blocks; ++k) {
-    const std::size_t k0 = k * nb;
-    const std::size_t pw = std::min(nb, n - k0);
-    const int pr = static_cast<int>(k % grid.p);
-    const int pc = static_cast<int>(k % grid.q);
-    const int diag = grid.rank_of(pr, pc);
-    const int tag = solve_base + static_cast<int>(k) * 2;
-    if (ctx.prow == pr) {
-      // Partial sum over this rank's local columns with global index < k0.
+  const std::vector<int> everyone = ctx.everyone();
+  std::vector<T> x(dist.n(), T(0));
+  for (std::size_t step = 0; step < blocks; ++step) {
+    const std::size_t k = lower ? step : blocks - 1 - step;
+    const Stage st = stage_of(dist, k);
+    const std::size_t k0 = st.k0, pw = st.pw;
+    const int tag = base + static_cast<int>(k) * 2;
+    if (ctx.prow == st.prow) {
+      // Partial sum over this rank's local columns already solved: global
+      // index < k0 (forward) or >= k0 + pw (backward).
       std::vector<T> partial(pw, T(0));
       const std::size_t lr0 = dist.local_row(k0);
-      const std::size_t lc_end = ctx.local_col_lower_bound(k0);
-      for (std::size_t lc = 0; lc < lc_end; ++lc) {
+      const std::size_t lc_begin =
+          lower ? 0 : ctx.local_col_lower_bound(k0 + pw);
+      const std::size_t lc_end =
+          lower ? ctx.local_col_lower_bound(k0) : ctx.lcols();
+      for (std::size_t lc = lc_begin; lc < lc_end; ++lc) {
         const std::size_t g = dist.global_col(ctx.pcol, lc);
         for (std::size_t r = 0; r < pw; ++r)
-          partial[r] += ctx.local(lr0 + r, lc) * y[g];
+          partial[r] += ctx.local(lr0 + r, lc) * x[g];
       }
-      if (comm.rank() != diag) {
+      if (ctx.comm.rank() != st.root) {
         Payload out(pw);
         for (std::size_t r = 0; r < pw; ++r)
           out[r] = static_cast<double>(partial[r]);
-        comm.send(diag, tag, std::move(out));
+        ctx.comm.send(st.root, tag, std::move(out));
       } else {
         for (int pcol = 0; pcol < grid.q; ++pcol) {
-          const int src = grid.rank_of(pr, pcol);
-          if (src == diag) continue;
-          const Payload other = comm.recv(src, tag);
+          const int src = grid.rank_of(st.prow, pcol);
+          if (src == st.root) continue;
+          const Payload other = ctx.comm.recv(src, tag);
           for (std::size_t r = 0; r < pw; ++r)
             partial[r] += static_cast<T>(other[r]);
         }
-        // Solve the unit-lower diagonal block.
-        std::vector<T> yk(pw);
+        // Solve the diagonal block: unit-lower rows ascending, or upper
+        // rows descending with the division by the diagonal.
         const std::size_t lc0 = dist.local_col(k0);
-        for (std::size_t r = 0; r < pw; ++r) {
-          T acc = static_cast<T>(rhs[k0 + r]) - partial[r];
-          for (std::size_t j = 0; j < r; ++j)
-            acc -= ctx.local(lr0 + r, lc0 + j) * yk[j];
-          yk[r] = acc;
+        for (std::size_t i = 0; i < pw; ++i) {
+          const std::size_t r = lower ? i : pw - 1 - i;
+          T acc = rhs[k0 + r] - partial[r];
+          const std::size_t j0 = lower ? 0 : r + 1;
+          const std::size_t j1 = lower ? r : pw;
+          for (std::size_t j = j0; j < j1; ++j)
+            acc -= ctx.local(lr0 + r, lc0 + j) * x[k0 + j];
+          x[k0 + r] = lower ? acc : acc / ctx.local(lr0 + r, lc0 + r);
         }
-        for (std::size_t r = 0; r < pw; ++r) y[k0 + r] = yk[r];
       }
     }
     // Broadcast the solved block to everyone (pw doubles: stays tree-side
     // of any sane crossover, but routed through the dispatcher regardless).
     Payload block;
-    if (comm.rank() == diag) {
-      block.resize(pw);
+    if (ctx.comm.rank() == st.root)
       for (std::size_t r = 0; r < pw; ++r)
-        block[r] = static_cast<double>(y[k0 + r]);
-    }
-    block = comm.bcast_auto(diag, everyone, std::move(block), tag + 1, pw);
-    for (std::size_t r = 0; r < pw; ++r)
-      y[k0 + r] = static_cast<T>(block[r]);
+        block.push_back(static_cast<double>(x[k0 + r]));
+    block = ctx.comm.bcast_auto(st.root, everyone, std::move(block), tag + 1,
+                                pw);
+    for (std::size_t r = 0; r < pw; ++r) x[k0 + r] = static_cast<T>(block[r]);
   }
+  return x;
+}
 
-  // --- Backward: U x = y (non-unit upper). Blocks in decreasing order. ---
-  std::vector<T> x(n, T(0));
-  const int back_base = solve_base + static_cast<int>(blocks) * 2 + 4;
-  for (std::size_t kk = blocks; kk-- > 0;) {
-    const std::size_t k0 = kk * nb;
-    const std::size_t pw = std::min(nb, n - k0);
-    const int pr = static_cast<int>(kk % grid.p);
-    const int pc = static_cast<int>(kk % grid.q);
-    const int diag = grid.rank_of(pr, pc);
-    const int tag = back_base + static_cast<int>(kk) * 2;
-    if (ctx.prow == pr) {
-      std::vector<T> partial(pw, T(0));
-      const std::size_t lr0 = dist.local_row(k0);
-      const std::size_t lc_start = ctx.local_col_lower_bound(k0 + pw);
-      for (std::size_t lc = lc_start; lc < ctx.lcols(); ++lc) {
-        const std::size_t g = dist.global_col(ctx.pcol, lc);
-        for (std::size_t r = 0; r < pw; ++r)
-          partial[r] += ctx.local(lr0 + r, lc) * x[g];
-      }
-      if (comm.rank() != diag) {
-        Payload out(pw);
-        for (std::size_t r = 0; r < pw; ++r)
-          out[r] = static_cast<double>(partial[r]);
-        comm.send(diag, tag, std::move(out));
-      } else {
-        for (int pcol = 0; pcol < grid.q; ++pcol) {
-          const int src = grid.rank_of(pr, pcol);
-          if (src == diag) continue;
-          const Payload other = comm.recv(src, tag);
-          for (std::size_t r = 0; r < pw; ++r)
-            partial[r] += static_cast<T>(other[r]);
-        }
-        std::vector<T> xk(pw);
-        const std::size_t lc0 = dist.local_col(k0);
-        for (std::size_t r = pw; r-- > 0;) {
-          T acc = y[k0 + r] - partial[r];
-          for (std::size_t j = r + 1; j < pw; ++j)
-            acc -= ctx.local(lr0 + r, lc0 + j) * xk[j];
-          xk[r] = acc / ctx.local(lr0 + r, lc0 + r);
-        }
-        for (std::size_t r = 0; r < pw; ++r) x[k0 + r] = xk[r];
-      }
-    }
-    Payload block;
-    if (comm.rank() == diag) {
-      block.resize(pw);
-      for (std::size_t r = 0; r < pw; ++r)
-        block[r] = static_cast<double>(x[k0 + r]);
-    }
-    block = comm.bcast_auto(diag, everyone, std::move(block), tag + 1, pw);
-    for (std::size_t r = 0; r < pw; ++r)
-      x[k0 + r] = static_cast<T>(block[r]);
-  }
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<double>(x[i]);
-  return out;
+/// Distributed solve of L U x = rhs (rhs already permuted and replicated):
+/// the forward then the backward sweep, and the exact widening of the T
+/// result. `solve_base` is the first message tag of the solve's window
+/// ((4*blocks + 4)-tags wide); the refinement loop re-invokes the solve with
+/// a fresh window per iteration.
+template <class T>
+std::vector<double> distributed_solve(RankContext<T>& ctx,
+                                      const std::vector<double>& rhs,
+                                      int solve_base) {
+  const int blocks = static_cast<int>(ctx.dist.num_blocks());
+  const std::vector<T> b(rhs.begin(), rhs.end());
+  const std::vector<T> y = triangular_sweep(ctx, b, true, solve_base);
+  const std::vector<T> x =
+      triangular_sweep(ctx, y, false, solve_base + blocks * 2 + 4);
+  return std::vector<double>(x.begin(), x.end());
 }
 
 /// Allreduced fp64 residual data for the solution x: the scaled HPL residual
@@ -944,8 +692,7 @@ DistResidual distributed_residual(RankContext<T>& ctx,
                                   const std::vector<double>& x,
                                   const std::vector<double>& b,
                                   std::uint64_t seed, int tag) {
-  const BlockCyclic& dist = *ctx.dist;
-  const Grid& grid = dist.grid();
+  const BlockCyclic& dist = ctx.dist;
   const std::size_t n = dist.n();
   Payload acc(2 * n, 0.0);  // [0, n): partial A*x; [n, 2n): partial |A| row sums
   for (std::size_t lr = 0; lr < ctx.lrows(); ++lr) {
@@ -957,9 +704,7 @@ DistResidual distributed_residual(RankContext<T>& ctx,
       acc[n + gr] += std::abs(a);
     }
   }
-  std::vector<int> everyone(grid.ranks());
-  for (int r = 0; r < grid.ranks(); ++r) everyone[r] = r;
-  acc = ctx.comm->allreduce(everyone, std::move(acc), tag);
+  acc = ctx.comm.allreduce(ctx.everyone(), std::move(acc), tag);
   DistResidual res;
   res.r.resize(n);
   double r_inf = 0, a_inf = 0, x_inf = 0, b_inf = 0;
@@ -986,14 +731,10 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
                std::vector<trace::Span>* spans, DistributedHplResult& result,
                std::mutex& result_mu) {
   const std::size_t n = dist.n();
-  RankContext<T> ctx;
-  ctx.dist = &dist;
-  ctx.comm = &comm;
-  ctx.options = &options;
-  ctx.prow = grid.prow_of(comm.rank());
-  ctx.pcol = grid.pcol_of(comm.rank());
-  ctx.epoch = epoch;
-  ctx.spans = spans;
+  RankContext<T> ctx{dist, comm, options, options.panel,
+                     grid.prow_of(comm.rank()), grid.pcol_of(comm.rank()),
+                     {}, epoch, spans};
+  ctx.panel.pool = nullptr;  // ranks factor serially
   ctx.local = Matrix<T>(ctx.lrows(), ctx.lcols());
   // Fill from the position-stable generator: each rank produces exactly
   // the entries it owns (demoted to T — this cast IS the fp32 demotion
@@ -1005,27 +746,24 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
                           dist.global_col(ctx.pcol, lc)));
 
   std::vector<double> ipiv_all;
-  if (options.lookahead == Lookahead::kNone) {
-    for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
-      run_stage_blocking(ctx, bk, ipiv_all);
-  } else {
-    Payload packet = produce_packet_blocking(ctx, 0);
-    for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
-      packet = run_stage_lookahead(ctx, bk, std::move(packet), ipiv_all);
-  }
+  Payload packet = produce_packet_blocking(ctx, 0);
+  for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
+    packet = run_stage(ctx, bk, std::move(packet), ipiv_all);
 
   // Distributed solve: permute the replicated right-hand side by the
   // recorded interchanges, then block forward/back substitution.
   std::vector<double> b(n);
   util::Rng brng(seed ^ 0xb0b);
   for (auto& v : b) v = brng.next_centered();
-  std::vector<double> b_permuted = b;
-  for (std::size_t i = 0; i < n && i < ipiv_all.size(); ++i) {
-    const std::size_t piv = static_cast<std::size_t>(ipiv_all[i]);
-    if (piv != i) std::swap(b_permuted[i], b_permuted[piv]);
-  }
+  auto permute = [&](std::vector<double> v) {
+    for (std::size_t i = 0; i < n && i < ipiv_all.size(); ++i) {
+      const std::size_t piv = static_cast<std::size_t>(ipiv_all[i]);
+      if (piv != i) std::swap(v[i], v[piv]);
+    }
+    return v;
+  };
   const int solve_base = static_cast<int>(dist.num_blocks() + 1) * kTagStride;
-  std::vector<double> x_dist = distributed_solve(ctx, b_permuted, solve_base);
+  std::vector<double> x_dist = distributed_solve(ctx, permute(b), solve_base);
 
   // Distributed residual check (every rank participates and agrees). Under
   // kMixed the same evaluation drives the refinement schedule: evaluate,
@@ -1049,27 +787,21 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
       dres = rd.scaled;
       if (rd.scaled < blas::kHplResidualThreshold) break;
       if (it >= max_iters) break;  // cap hit; residual gate will fail below
-      std::vector<double> r_permuted = std::move(rd.r);
-      for (std::size_t i = 0; i < n && i < ipiv_all.size(); ++i) {
-        const std::size_t piv = static_cast<std::size_t>(ipiv_all[i]);
-        if (piv != i) std::swap(r_permuted[i], r_permuted[piv]);
-      }
       const std::vector<double> d =
-          distributed_solve(ctx, r_permuted, eval_tag + 4);
+          distributed_solve(ctx, permute(std::move(rd.r)), eval_tag + 4);
       for (std::size_t i = 0; i < n; ++i) x_dist[i] += d[i];
       ++refine_iters;
     }
   }
 
   // Gather the factored matrix to rank 0 for validation and solve.
-  const int gather_tag =
-      static_cast<int>(dist.num_blocks()) * kTagStride + kTagGather;
+  const int gather_tag = static_cast<int>(dist.num_blocks()) * kTagStride;
+  Payload mine;
+  mine.reserve(ctx.lrows() * ctx.lcols());
+  for (std::size_t lr = 0; lr < ctx.lrows(); ++lr)
+    for (std::size_t lc = 0; lc < ctx.lcols(); ++lc)
+      mine.push_back(static_cast<double>(ctx.local(lr, lc)));
   if (comm.rank() != 0) {
-    Payload mine;
-    mine.reserve(ctx.lrows() * ctx.lcols());
-    for (std::size_t lr = 0; lr < ctx.lrows(); ++lr)
-      for (std::size_t lc = 0; lc < ctx.lcols(); ++lc)
-        mine.push_back(static_cast<double>(ctx.local(lr, lc)));
     comm.send(0, gather_tag, std::move(mine));
     return;
   }
@@ -1083,14 +815,7 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
         full(dist.global_row(prow, lr), dist.global_col(pcol, lc)) =
             data[lr * cols + lc];
   };
-  {
-    Payload own;
-    own.reserve(ctx.lrows() * ctx.lcols());
-    for (std::size_t lr = 0; lr < ctx.lrows(); ++lr)
-      for (std::size_t lc = 0; lc < ctx.lcols(); ++lc)
-        own.push_back(static_cast<double>(ctx.local(lr, lc)));
-    scatter_into_full(ctx.prow, ctx.pcol, own.data());
-  }
+  scatter_into_full(ctx.prow, ctx.pcol, mine.data());
   for (int r = 1; r < grid.ranks(); ++r) {
     const Payload msg = comm.recv(r, gather_tag);
     scatter_into_full(grid.prow_of(r), grid.pcol_of(r), msg.data());

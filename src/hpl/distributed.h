@@ -8,10 +8,13 @@
 // updates — and is validated against the sequential blocked factorization
 // and the HPL residual test.
 //
-// The paper's three look-ahead schemes (Section IV, Figure 8) run
-// functionally here, built on net::World's nonblocking layer:
-//   kNone      — fully blocking: each stage gathers, factors, broadcasts,
-//                swaps, solves U and updates in strict order (Figure 8a).
+// Every stage runs one step — swap the rows, solve and broadcast U, update
+// the trailing matrix, produce the next panel's packet — and the paper's
+// three look-ahead schemes (Section IV, Figure 8) only reorder it, built on
+// net::World's nonblocking layer:
+//   kNone      — no overlap: the step runs in strict order and the next
+//                panel is gathered, factored and broadcast (blocking) after
+//                the whole trailing update (Figure 8a).
 //   kBasic     — the next panel is gathered, factored and its broadcast
 //                initiated (isend) right after the next-panel columns are
 //                updated, so the factorization overlaps the bulk of the
@@ -23,10 +26,13 @@
 //                panel start early, while the remaining subsets are solved
 //                and broadcast as one coalesced message per process row
 //                that travels under subset 0's compute and is consumed
-//                subset by subset (Figure 8c). The row swap is a single
-//                exchange covering every subset at once.
-// All three produce bitwise-identical pivots and factors: the subset split
-// changes no per-element accumulation order anywhere (see gemm_tiled.h).
+//                subset by subset (Figure 8c).
+// In every scheme the row swap is one pairwise exchange per owner-row pair
+// covering all trailing columns, and the root factors the panel with
+// blas::factor_stage_panel — the same stage primitive as the sequential
+// oracle. All three produce bitwise-identical pivots and factors: the
+// subset split changes no per-element accumulation order anywhere (see
+// gemm_tiled.h).
 //
 // Scope note (documented in DESIGN.md): the panel is gathered to a root rank
 // and factored there rather than factored in place across the process
@@ -40,6 +46,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "blas/lu_kernels.h"
 #include "core/offload_functional.h"
 #include "hpl/block_cyclic.h"
 #include "hpl/precision.h"
@@ -52,14 +59,6 @@ class Timeline;
 
 namespace xphi::hpl {
 
-/// Row interchange algorithms (HPL offers the same choice):
-///  - kPairwise: each swap is a point-to-point exchange between the two
-///    owner rows (binary-exchange style; good for few, scattered pivots);
-///  - kGatherScatter: the stage's root row collects every involved row
-///    segment, applies the whole interchange sequence, and scatters the
-///    results back (HPL's "long" swap: one gather + one scatter per stage).
-enum class SwapAlgorithm { kPairwise, kGatherScatter };
-
 /// Look-ahead depth of the factorization schedule — the functional twin of
 /// core::Lookahead (the simulator's cost model for the same three schemes).
 enum class Lookahead { kNone, kBasic, kPipelined };
@@ -71,22 +70,17 @@ struct DistributedHplOptions {
   /// functional twin of the full multi-node *hybrid* HPL.
   bool use_offload_engine = false;
   core::FunctionalOffloadConfig offload{};
-  SwapAlgorithm swap_algorithm = SwapAlgorithm::kPairwise;
 
   Lookahead lookahead = Lookahead::kNone;
-  /// Column subsets the pipelined scheme streams swap/DTRSM/U-broadcast
-  /// over (clamped to [1, 16]; subset 0 is always the next panel's columns).
+  /// Column subsets the pipelined scheme streams DTRSM/U-broadcast over
+  /// (clamped to [1, 16]; subset 0 is always the next panel's columns).
   int pipeline_subsets = 4;
 
-  /// Critical-path kernel knobs (blas::PanelOptions) for the root-rank panel
-  /// factorization and the fused local row-swap passes; 0 = kernel defaults.
-  std::size_t panel_nb_min = 0;
-  std::size_t laswp_col_chunk = 0;
-  /// Micro-kernel registry shape for the panel and the local trailing GEMM
-  /// (mr*100 + nr; 0 = auto-dispatch). Every rank must use the same value:
-  /// the shape is bitwise-neutral, but a consistent choice keeps per-rank
-  /// timing symmetric. The offload engine reads offload.knobs.microkernel.
-  int microkernel = 0;
+  /// Critical-path kernel knobs of the root-rank panel factorization, the
+  /// fused local row-swap passes and the local trailing GEMM (its
+  /// micro-kernel; the offload engine reads offload.knobs.microkernel). The
+  /// pool field is ignored: ranks run their kernels serially.
+  blas::PanelOptions panel{};
 
   /// Optional capture of per-rank compute and communication spans
   /// (lane = rank; kBroadcast covers panel/U transfers and their waits,

@@ -26,11 +26,8 @@
 #include <span>
 #include <vector>
 
+#include "blas/lu_kernels.h"
 #include "util/matrix.h"
-
-namespace xphi::util {
-class ThreadPool;
-}
 
 namespace xphi::hpl {
 
@@ -41,10 +38,9 @@ struct MixedOptions {
   /// its trailing GEMMs).
   int factor_workers = 1;
   util::ThreadPool* pool = nullptr;
-  /// Critical-path kernel knobs (blas::PanelOptions); 0 = kernel defaults.
-  std::size_t panel_nb_min = 0;
-  std::size_t laswp_col_chunk = 0;
-  int microkernel = 0;
+  /// Critical-path kernel knobs of the panel, swaps and trailing updates;
+  /// the pool field is ignored in favour of `pool`.
+  blas::PanelOptions panel{};
   /// Correction-solve cap of the deterministic refinement schedule. fp32
   /// factors of the well-conditioned HPL matrix converge in 1-3 steps; the
   /// cap only bounds pathological inputs (result.ok = false when hit).

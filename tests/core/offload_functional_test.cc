@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "blas/gemm_ref.h"
+#include "blas/getrf.h"
 #include "util/rng.h"
 
 namespace xphi::core {
@@ -97,6 +100,32 @@ TEST(OffloadFunctional, RepeatedRunsDeterministicResult) {
   offload_gemm_functional(1.0, a.view(), b.view(), c1.view(), cfg);
   offload_gemm_functional(1.0, a.view(), b.view(), c2.view(), cfg);
   EXPECT_EQ(util::max_abs_diff<double>(c1.view(), c2.view()), 0.0);
+}
+
+TEST(OffloadFunctional, GetrfBlockedOffloadUpdateMatchesDefault) {
+  // getrf_blocked's trailing-update seam: routing every stage's update
+  // through the offload engine (queues + card threads + stealing) must pick
+  // the same pivots as the pooled gemm_tiled default and factor to
+  // roundoff.
+  const std::size_t n = 96, nb = 16;
+  Matrix<double> plain(n, n), offload(n, n);
+  util::fill_hpl_matrix(plain.view(), 61);
+  util::fill_hpl_matrix(offload.view(), 61);
+  std::vector<std::size_t> p_plain(n), p_offload(n);
+  FunctionalOffloadConfig cfg;
+  cfg.knobs.mt = 24;
+  cfg.knobs.nt = 24;
+  cfg.host_steals = true;
+  ASSERT_TRUE(blas::getrf_blocked<double>(plain.view(), p_plain, nb));
+  ASSERT_TRUE(blas::getrf_blocked<double>(
+      offload.view(), p_offload, nb, nullptr, {},
+      [&](util::MatrixView<const double> l21,
+          util::MatrixView<const double> u12, util::MatrixView<double> a22,
+          const blas::PanelOptions&) {
+        offload_gemm_functional(-1.0, l21, u12, a22, cfg);
+      }));
+  EXPECT_EQ(p_offload, p_plain);
+  EXPECT_LT(util::max_abs_diff<double>(offload.view(), plain.view()), 1e-11);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ TEST(DistributedHpl, SingleRankMatchesSequentialOracle) {
   std::vector<std::size_t> ipiv(n);
   ASSERT_TRUE(blas::getrf_blocked<double>(a.view(), ipiv, nb));
   EXPECT_EQ(res.ipiv, ipiv);
-  EXPECT_LT(util::max_abs_diff<double>(res.factored.view(), a.view()), 1e-10);
+  EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(), a.view()), 0.0);
 }
 
 TEST(DistributedHpl, TwoByTwoGridMatchesOracle) {
@@ -37,7 +37,7 @@ TEST(DistributedHpl, TwoByTwoGridMatchesOracle) {
   std::vector<std::size_t> ipiv(n);
   ASSERT_TRUE(blas::getrf_blocked<double>(a.view(), ipiv, nb));
   EXPECT_EQ(res.ipiv, ipiv);
-  EXPECT_LT(util::max_abs_diff<double>(res.factored.view(), a.view()), 1e-9);
+  EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(), a.view()), 0.0);
 }
 
 TEST(DistributedHpl, ResidualUnderThreshold2x2) {
@@ -132,31 +132,6 @@ TEST(DistributedHpl, HybridOffloadTwoCardsPerRank) {
   EXPECT_LT(res.solve_agreement, 1e-10);
 }
 
-TEST(DistributedHpl, GatherScatterSwapMatchesPairwise) {
-  // HPL's "long" swap and the pairwise exchange are different communication
-  // patterns for the same permutation: identical factors required.
-  DistributedHplOptions gather;
-  gather.swap_algorithm = SwapAlgorithm::kGatherScatter;
-  for (auto grid : {Grid{2, 1}, Grid{2, 2}, Grid{3, 2}}) {
-    const auto a = run_distributed_hpl(72, 12, grid, 91, gather);
-    const auto b = run_distributed_hpl(72, 12, grid, 91);
-    ASSERT_TRUE(a.ok);
-    ASSERT_TRUE(b.ok);
-    EXPECT_EQ(a.ipiv, b.ipiv);
-    EXPECT_EQ(util::max_abs_diff<double>(a.factored.view(), b.factored.view()),
-              0.0)
-        << grid.p << "x" << grid.q;
-  }
-}
-
-TEST(DistributedHpl, GatherScatterSwapSolves) {
-  DistributedHplOptions opt;
-  opt.swap_algorithm = SwapAlgorithm::kGatherScatter;
-  const auto res = run_distributed_hpl(90, 10, Grid{3, 1}, 17, opt);
-  EXPECT_TRUE(res.ok);
-  EXPECT_LT(res.solve_agreement, 1e-10);
-}
-
 // ---------------------------------------------------------------------------
 // Look-ahead schemes (paper Section IV, Figure 8)
 // ---------------------------------------------------------------------------
@@ -165,34 +140,64 @@ TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
   // The three schedules reorder communication and split the update into
   // column subsets, but never change any per-element accumulation order
   // (see gemm_tiled.h) — so the factors must match kNone bit for bit,
-  // across both swap algorithms and non-divisible N/NB/PxQ shapes.
+  // across non-divisible N/NB/PxQ shapes.
   struct Shape { std::size_t n, nb; Grid grid; };
   for (const Shape& sh : {Shape{70, 12, Grid{2, 2}},    // ragged last block
                           Shape{84, 16, Grid{3, 2}},    // uneven block counts
                           Shape{48, 8, Grid{1, 3}}}) {  // single process row
-    for (auto swap : {SwapAlgorithm::kPairwise, SwapAlgorithm::kGatherScatter}) {
-      DistributedHplOptions base;
-      base.swap_algorithm = swap;
-      const auto none = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, base);
-      ASSERT_TRUE(none.ok);
-      for (auto scheme : {Lookahead::kBasic, Lookahead::kPipelined}) {
-        DistributedHplOptions opt = base;
-        opt.lookahead = scheme;
-        const auto res = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, opt);
-        const auto label = [&] {
-          return ::testing::Message()
-                 << "n=" << sh.n << " nb=" << sh.nb << " grid=" << sh.grid.p
-                 << "x" << sh.grid.q << " swap=" << static_cast<int>(swap)
-                 << " scheme=" << static_cast<int>(scheme);
-        };
-        ASSERT_TRUE(res.ok) << label();
-        EXPECT_EQ(res.ipiv, none.ipiv) << label();
-        EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(),
-                                             none.factored.view()),
-                  0.0)
-            << label();
-        EXPECT_LT(res.solve_agreement, 1e-10) << label();
+    const auto none = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29);
+    ASSERT_TRUE(none.ok);
+    for (auto scheme : {Lookahead::kBasic, Lookahead::kPipelined}) {
+      DistributedHplOptions opt;
+      opt.lookahead = scheme;
+      const auto res = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, opt);
+      const auto label = [&] {
+        return ::testing::Message()
+               << "n=" << sh.n << " nb=" << sh.nb << " grid=" << sh.grid.p
+               << "x" << sh.grid.q << " scheme=" << static_cast<int>(scheme);
+      };
+      ASSERT_TRUE(res.ok) << label();
+      EXPECT_EQ(res.ipiv, none.ipiv) << label();
+      EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(),
+                                           none.factored.view()),
+                0.0)
+          << label();
+      EXPECT_LT(res.solve_agreement, 1e-10) << label();
+    }
+  }
+}
+
+TEST(DistributedHpl, SchemeTrafficIsPinned) {
+  // Every scheme issues a fixed message pattern: the summed per-rank send
+  // counters must not move when the stage code is refactored. Only kNone's
+  // blocking panel broadcast (tree or ring) differs from the look-ahead
+  // schemes' flat fan-out, and kPipelined adds its split U sends.
+  struct Expect { std::size_t messages, bytes; };
+  struct Case { std::size_t n, nb; Grid grid; Expect none, basic, pipelined; };
+  for (const Case& c :
+       {Case{64, 8, Grid{2, 2}, {244, 139456}, {244, 139456}, {249, 139456}},
+        Case{70, 12, Grid{2, 2}, {244, 168880}, {244, 168880}, {247, 168880}},
+        Case{84, 16, Grid{3, 2}, {421, 357472}, {411, 357392}, {417, 357392}},
+        Case{48, 8, Grid{1, 3}, {74, 40704}, {74, 40704}, {74, 40704}}}) {
+    for (const auto& [scheme, want] :
+         {std::pair{Lookahead::kNone, c.none},
+          std::pair{Lookahead::kBasic, c.basic},
+          std::pair{Lookahead::kPipelined, c.pipelined}}) {
+      DistributedHplOptions opt;
+      opt.lookahead = scheme;
+      const auto res = run_distributed_hpl(c.n, c.nb, c.grid, 5, opt);
+      ASSERT_TRUE(res.ok);
+      std::size_t messages = 0, bytes = 0;
+      for (const net::CommStats& s : res.comm_stats) {
+        messages += s.messages_sent;
+        bytes += s.bytes_sent;
       }
+      const auto label = ::testing::Message()
+                         << "n=" << c.n << " nb=" << c.nb << " grid="
+                         << c.grid.p << "x" << c.grid.q
+                         << " scheme=" << static_cast<int>(scheme);
+      EXPECT_EQ(messages, want.messages) << label;
+      EXPECT_EQ(bytes, want.bytes) << label;
     }
   }
 }
@@ -209,7 +214,7 @@ TEST(DistributedHpl, LookaheadMatchesSequentialOracle) {
     const auto res = run_distributed_hpl(n, nb, Grid{2, 2}, 43, opt);
     ASSERT_TRUE(res.ok);
     EXPECT_EQ(res.ipiv, ipiv);
-    EXPECT_LT(util::max_abs_diff<double>(res.factored.view(), a.view()), 1e-9);
+    EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(), a.view()), 0.0);
   }
 }
 

@@ -7,8 +7,6 @@
 #include <numeric>
 #include <vector>
 
-#include "util/barrier.h"
-
 namespace xphi::util {
 namespace {
 
@@ -110,31 +108,6 @@ TEST(ThreadPool, ReusableAcrossJobs) {
       sum.fetch_add(static_cast<long>(i));
     });
   EXPECT_EQ(sum.load(), 10 * (99 * 100 / 2));
-}
-
-TEST(SpinBarrier, SynchronizesPhases) {
-  constexpr std::size_t kThreads = 4;
-  SpinBarrier barrier(kThreads);
-  std::atomic<int> phase_counts[3] = {{0}, {0}, {0}};
-  std::atomic<bool> violation{false};
-  ThreadPool pool(kThreads);
-  pool.run_on_all([&](std::size_t) {
-    for (int p = 0; p < 3; ++p) {
-      phase_counts[p].fetch_add(1);
-      barrier.arrive_and_wait();
-      // After the barrier everyone must have bumped this phase's counter.
-      if (phase_counts[p].load() != static_cast<int>(kThreads))
-        violation.store(true);
-      barrier.arrive_and_wait();
-    }
-  });
-  EXPECT_FALSE(violation.load());
-}
-
-TEST(SpinBarrier, SinglePartyNeverBlocks) {
-  SpinBarrier barrier(1);
-  for (int i = 0; i < 5; ++i) barrier.arrive_and_wait();
-  SUCCEED();
 }
 
 }  // namespace
