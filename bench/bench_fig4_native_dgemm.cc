@@ -15,8 +15,17 @@
 // block-model mc/kc/nc. The JSON carries the dispatched kernel name, the
 // probed CPU features, and the analytic blocking so the artifact explains
 // its own numbers.
+//
+// The "lu_shape" records are the evidence behind the registry's auto
+// policy: single-thread GF/s of every registered shape x ISA variant the
+// host runs, fp64 and fp32, at the two GEMM shapes the n=2048, nb=64 LU
+// update issues (one DAG task, m x nb x nb, and the first trailing update,
+// (n-nb)^2 x nb), as the median of interleaved reps.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "blas/block_model.h"
 #include "blas/gemm_tiled.h"
@@ -50,6 +59,76 @@ double measure_gemm_seconds(std::size_t n, xphi::blas::GemmOptions go,
     if (best < 0 || s < best) best = s;
   }
   return best;
+}
+
+/// Appends one "lu_shape" record per (LU update shape, registered shape,
+/// ISA tier up to the host's widest) for element type T, and one table row
+/// per (update shape, ISA tier) with a GF/s column per registered shape
+/// ("*" marks the auto-dispatched kernel).
+template <class T>
+void measure_lu_shapes(const char* type, int reps, xphi::util::Table& table,
+                       std::vector<xphi::bench::JsonRecord>& records) {
+  using namespace xphi;
+  namespace mk = blas::mk;
+  constexpr std::size_t kN = 2048, kNb = 64;
+  struct Gemm {
+    const char* name;
+    std::size_t m, n;
+  };
+  const Gemm gemms[] = {{"dag_task", kN / 2, kNb},
+                        {"trailing", kN - kNb, kN - kNb}};
+  const auto host = mk::select_kernel_spec<T>("auto");
+  if (!host) return;
+  const std::string auto_name = mk::select_kernel<T>(0).name();
+  const auto& reg = mk::registry<T>();
+  for (const Gemm& g : gemms) {
+    util::Matrix<T> a(g.m, kNb), b(kNb, g.n), c(g.m, g.n);
+    util::fill_hpl_matrix(a.view(), 1);
+    util::fill_hpl_matrix(b.view(), 2);
+    c.fill(T(0));
+    for (int isa = 0; isa <= static_cast<int>(host->isa); ++isa) {
+      std::vector<std::string> specs;
+      for (const mk::Kernel<T>& k : reg)
+        specs.push_back(std::string(k.shape.name) + "@" +
+                        mk::isa_name(static_cast<mk::Isa>(isa)));
+      std::vector<std::vector<double>> t(specs.size());
+      // Rep 0 warms each kernel's pack buffers and is not recorded.
+      for (int r = 0; r <= reps; ++r) {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+          blas::GemmOptions go;
+          go.kernel_spec = specs[i].c_str();
+          const auto t0 = std::chrono::steady_clock::now();
+          blas::gemm_tiled<T>(T(1), a.view(), b.view(), T(0), c.view(), go);
+          const std::chrono::duration<double> dt =
+              std::chrono::steady_clock::now() - t0;
+          if (r > 0) t[i].push_back(dt.count());
+        }
+      }
+      std::vector<std::string> row = {
+          type, g.name,
+          std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
+              std::to_string(kNb),
+          mk::isa_name(static_cast<mk::Isa>(isa))};
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        std::sort(t[i].begin(), t[i].end());
+        const double gf =
+            2.0 * g.m * g.n * kNb / t[i][t[i].size() / 2] * 1e-9;
+        const bool is_auto = specs[i] == auto_name;
+        row.push_back(util::Table::fmt(gf, 2) + (is_auto ? "*" : ""));
+        records.push_back(bench::JsonRecord{}
+                              .str("record", "lu_shape")
+                              .str("type", type)
+                              .str("gemm", g.name)
+                              .num("m", static_cast<double>(g.m))
+                              .num("n", static_cast<double>(g.n))
+                              .num("k", static_cast<double>(kNb))
+                              .str("kernel", specs[i])
+                              .num("auto", is_auto ? 1 : 0)
+                              .num("gflops", gf));
+      }
+      table.add_row(std::move(row));
+    }
+  }
 }
 
 }  // namespace
@@ -163,6 +242,17 @@ int main() {
                           .num("seconds", s_auto));
   }
   mtable.print("fig4_functional_dgemm.csv");
+
+  std::printf(
+      "\nLU update shapes: every shape x ISA, one thread (median of 5, "
+      "* = auto)\n");
+  std::vector<std::string> lcols = {"type", "gemm", "MxNxK", "isa"};
+  for (const auto& k : blas::mk::registry<double>())
+    lcols.push_back(std::string(k.shape.name) + " GF/s");
+  util::Table ltable(lcols);
+  measure_lu_shapes<double>("fp64", 5, ltable, records);
+  measure_lu_shapes<float>("fp32", 5, ltable, records);
+  ltable.print("fig4_lu_shapes.csv");
   if (bench::write_json("BENCH_gemm.json", "fig4_functional_dgemm", records))
     std::printf("\nWrote BENCH_gemm.json (GF/s per size).\n");
   return 0;

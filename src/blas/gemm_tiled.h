@@ -10,12 +10,12 @@
 // shares with the real one is the data layout, the loop structure, and the
 // numerics (verified against gemm_ref).
 //
-// PR 5 froze one 3x8 register block (the SSE2 envelope). The kernel shape is
-// now a runtime decision: mk::select_kernel picks the widest registered
-// M_r x N_r variant the host supports (AVX2 -> 6x8, AVX-512 -> 8x8, see
-// blas/microkernel/registry.h), gemm_tiled packs operands at that shape's
-// tile geometry, and interior tiles run the shape's branch-free full-tile
-// path while true edge tiles take its masked store — the paper's "edge
+// The kernel shape is a runtime decision: mk::select_kernel picks the
+// registry's M_r x N_r shape for the widest ISA tier the host supports (the
+// measured policy in blas/microkernel/registry.h), gemm_tiled packs operands
+// at that shape's tile geometry, and interior tiles run the shape's
+// branch-free full-tile path while true edge tiles take its masked store —
+// the paper's "edge
 // waste" — so interior tiles never pay for edges. Every registered shape
 // and ISA variant accumulates each C element over k in the same ascending
 // order (kernels_inl.h), so dispatch changes speed, never numerics.
@@ -239,10 +239,11 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
 
 /// One outer product over pre-packed operands:
 /// C(MxN) = alpha * Ai * Bi + beta * C.
-/// The pack layout is the caller's, so dispatch picks the widest registered
-/// kernel whose shape *matches* that layout (a `kernel` pin or the env
-/// override is honored when compatible); operands packed at a geometry no
-/// registered shape uses fall back to the template/scalar kernels.
+/// The pack layout is the caller's, so dispatch runs the registered shape
+/// with that layout (mk::select_for_tile; a `kernel` pin or the env override
+/// is honored when compatible); operands packed at a geometry no registered
+/// shape uses fall back to the template/scalar kernels. Pack at
+/// mk::select_kernel<T>(kernel)'s tile_rows()/nr() to run that kernel.
 template <class T>
 void outer_product_packed(T alpha, const PackedA<T>& a, const PackedB<T>& b,
                           T beta, util::MatrixView<T> c,

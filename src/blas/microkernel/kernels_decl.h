@@ -4,15 +4,19 @@
 // packed A-tile height is TileRows (an Mr multiple near the Basic Kernel 2
 // blocking of 30, so task granularity in gemm_tiled stays comparable across
 // shapes). The X-macro keeps the registry rows and the per-ISA function
-// tables in the same order without any runtime registration step.
+// tables in the same order without any runtime registration step. No two
+// shapes share a (TileRows, Nr) pack geometry, so a packed operand pair
+// names exactly one shape (select_for_tile relies on this).
 //
-//   3x8  — the PR 5 seed: 12 XMM accumulators, fits SSE2's 16-register file.
-//   4x8  — 16 ymm-halves; the portable middle ground.
-//   6x8  — 12 ymm accumulators + broadcasts/loads, the AVX2+FMA sweet spot
-//          (16 ymm available).
+//   3x8  — 12 XMM accumulators, fits SSE2's 16-register file; the generic
+//          tier's fp64 auto shape.
+//   4x8  — 16 ymm-halves; the fp64 auto shape at AVX2 and AVX-512 and the
+//          fp32 auto shape everywhere (fastest at the LU's update shapes,
+//          DESIGN.md §12).
 //   8x6  — tall variant: trades B-row width for A-column reuse.
 //   4x12 — wide variant: 12 accumulators of 12, stresses B-stream bandwidth.
-//   8x8  — 16 zmm-halves / 8 zmm accumulators; the AVX-512 shape (32 zmm).
+//   8x8  — 16 zmm-halves / 8 zmm accumulators; fills the AVX-512 register
+//          file but deepens the un-contracted mul+add chains.
 #pragma once
 
 #include <cstddef>
@@ -22,12 +26,11 @@ namespace xphi::blas::mk {
 #define XPHI_MK_FOR_EACH_SHAPE(X) \
   X(3, 8, 30)                     \
   X(4, 8, 28)                     \
-  X(6, 8, 30)                     \
   X(8, 6, 32)                     \
   X(4, 12, 28)                    \
   X(8, 8, 32)
 
-inline constexpr std::size_t kShapeCount = 6;
+inline constexpr std::size_t kShapeCount = 5;
 
 /// Per-shape entry points of one ISA translation unit.
 template <class T>

@@ -25,30 +25,17 @@ Isa host_max_isa() {
   return Isa::kGeneric;
 }
 
-/// Preferred shape id per (type, ISA tier). fp64: the shape whose
-/// accumulator block fills the tier's register file (see kernels_decl.h).
-/// fp32 prefers 4x8 at every tier: an Nr=8 float row is a single 256-bit
-/// vector regardless of ISA width, so the tall blocks (6x8, 8x8) gain no
-/// vector lanes — they only deepen the per-element mul+add dependency
-/// chains, which stall badly with contraction off (-ffp-contract=off, the
-/// determinism contract). The short 4x8 block keeps the chains dual-issued
-/// and runs ~2x the fp64 flop rate, which is the mixed-precision premise.
+/// Preferred shape id per (type, ISA tier): 4x8 at the vector tiers, and at
+/// the generic tier too for fp32. Measured at the LU's two update shapes
+/// (m x nb x nb tasks, (n-nb)^2 x nb trailing; DESIGN.md §12), 4x8 is the
+/// fastest block at AVX-512 for both types and level with the best at AVX2:
+/// with contraction off (-ffp-contract=off, the determinism contract) the
+/// tall blocks only deepen the per-element mul+add dependency chains, and
+/// the short block keeps them dual-issued. The generic fp64 tier keeps 3x8,
+/// whose 12-accumulator block fits SSE2's 16 XMM registers.
 template <class T>
 int preferred_shape_id(Isa isa) {
-  if constexpr (std::is_same_v<T, float>) {
-    (void)isa;
-    return 408;
-  } else {
-    switch (isa) {
-      case Isa::kAvx512:
-        return 808;
-      case Isa::kAvx2:
-        return 608;
-      case Isa::kGeneric:
-        break;
-    }
-    return 308;
-  }
+  return std::is_same_v<T, double> && isa == Isa::kGeneric ? 308 : 408;
 }
 
 template <class T>
@@ -182,28 +169,15 @@ Selection<T> select_kernel_impl(int id) {
 template <class T>
 Selection<T> select_for_tile_impl(std::size_t tile_rows,
                                   std::size_t tile_cols, int id) {
-  const auto compatible = [&](const Selection<T>& s) {
-    return s && s.tile_rows() == tile_rows && s.nr() == tile_cols;
-  };
-  // Honor an explicit pin (env, then knob) when it fits the pack layout.
-  {
-    Selection<T> pinned = select_kernel_impl<T>(id);
-    if (compatible(pinned)) return pinned;
-  }
-  // Otherwise: widest variant across the shapes that match the layout,
-  // preferring larger register blocks (more C reuse per B load).
-  const Isa cap = host_max_isa();
-  Selection<T> best;
-  for (const Kernel<T>& k : registry<T>()) {
-    if (k.shape.tile_rows != tile_rows || k.shape.nr != tile_cols) continue;
-    Selection<T> s = resolve_variant<T>(&k, cap);
-    if (!s) continue;
-    if (!best || static_cast<int>(s.isa) > static_cast<int>(best.isa) ||
-        (s.isa == best.isa && s.mr() > best.mr())) {
-      best = s;
-    }
-  }
-  return best;
+  // Honor an explicit pin (env, then knob) when it fits the pack layout;
+  // otherwise the one shape with this geometry, at the widest variant.
+  const Selection<T> pinned = select_kernel_impl<T>(id);
+  if (pinned && pinned.tile_rows() == tile_rows && pinned.nr() == tile_cols)
+    return pinned;
+  for (const Kernel<T>& k : registry<T>())
+    if (k.shape.tile_rows == tile_rows && k.shape.nr == tile_cols)
+      return resolve_variant<T>(&k, host_max_isa());
+  return {};
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 //      with the same code) or a caller-supplied spec/knob id (the TuningDB's
 //      `microkernel` knob, mr*100 + nr).
 //   2. Otherwise auto-dispatch: the widest ISA tier host_cpu_features()
-//      reports AND the build compiled, at that tier's preferred shape
-//      (generic->3x8, avx2->6x8, avx512->8x8).
+//      reports AND the build compiled, at that tier's preferred shape —
+//      4x8 at avx2 and avx512 (fp64 and fp32), and at generic 3x8 for fp64
+//      and 4x8 for fp32; the shape measured fastest at the LU's update
+//      shapes (DESIGN.md §12).
 //
 // A shape forced onto a host whose build lacks that ISA variant silently
 // degrades to the widest variant *of that shape* that is present — the
@@ -81,7 +83,7 @@ struct Selection {
   std::size_t nr() const noexcept { return kernel->shape.nr; }
   std::size_t tile_rows() const noexcept { return kernel->shape.tile_rows; }
   int id() const noexcept { return kernel->shape.id; }
-  /// "6x8@avx2" — the attribution string bench artifacts record.
+  /// "4x8@avx2" — the attribution string bench artifacts record.
   std::string name() const {
     return kernel == nullptr
                ? std::string("none")
@@ -118,11 +120,13 @@ template <>
 std::optional<Selection<float>> select_kernel_spec<float>(
     std::string_view spec);
 
-/// Best kernel compatible with operands already packed at the given tile
-/// geometry (outer_product_packed's case: the pack layout is fixed by the
-/// caller, but the widest ISA variant of a matching shape can still be
-/// picked). Prefers the pinned/env selection when compatible. Empty when no
-/// registered shape matches.
+/// The kernel for operands already packed at the given tile geometry
+/// (outer_product_packed's case: the pack layout is fixed by the caller).
+/// Each registered (tile_rows, nr) pair belongs to exactly one shape, so
+/// this is an exact lookup: the pinned/env selection when it has that
+/// geometry, else the matching shape at its widest ISA variant. Empty when
+/// no registered shape matches. Callers that pack at select_kernel's
+/// tile_rows()/nr() get back the same kernel.
 template <class T>
 Selection<T> select_for_tile(std::size_t tile_rows, std::size_t tile_cols,
                              int id = 0) {

@@ -43,19 +43,21 @@ class PackCache {
 
   /// Packed form of `a`, packing on first use. `tag` scopes the key in time
   /// (e.g. the LU stage); the same block with a different tag is a miss.
+  /// `tile_rows` has no default: pack at the consumer's dispatched kernel
+  /// (mk::Selection::tile_rows()) so outer_product_packed runs that kernel.
   std::shared_ptr<const PackedA<T>> get_a(util::MatrixView<const T> a,
-                                          std::uint64_t tag = 0,
-                                          std::size_t tile_rows = kTileRows,
+                                          std::uint64_t tag,
+                                          std::size_t tile_rows,
                                           util::ThreadPool* pool = nullptr) {
     return get<PackedA<T>>(a_entries_, Key{a.data(), a.rows(), a.cols(),
                                            a.ld(), tile_rows, tag},
                            [&](PackedA<T>& p) { p.pack(a, tile_rows, pool); });
   }
 
-  /// Packed form of `b`, packing on first use.
+  /// Packed form of `b`, packing on first use (tile_cols: the kernel's nr).
   std::shared_ptr<const PackedB<T>> get_b(util::MatrixView<const T> b,
-                                          std::uint64_t tag = 0,
-                                          std::size_t tile_cols = kTileCols,
+                                          std::uint64_t tag,
+                                          std::size_t tile_cols,
                                           util::ThreadPool* pool = nullptr) {
     return get<PackedB<T>>(b_entries_, Key{b.data(), b.rows(), b.cols(),
                                            b.ld(), tile_cols, tag},

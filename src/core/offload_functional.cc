@@ -192,7 +192,7 @@ FunctionalOffloadStats offload_gemm_functional(
   };
 
   // "Coprocessor" threads: poll the request queue, verify the transfer,
-  // multiply packed tiles with the Basic Kernel 2-shaped micro kernel,
+  // multiply packed tiles with the dispatched micro kernel,
   // return the checksummed product. A scripted death drops the card off the
   // bus mid-request; the last survivor closes the request queue so the host
   // stops treating the link as up.
@@ -297,11 +297,14 @@ FunctionalOffloadStats offload_gemm_functional(
     return requests.enqueue(std::move(req));
   };
 
+  // Pack at the dispatched kernel's geometry so the cards run that kernel.
+  const auto kernel = blas::mk::select_kernel<double>(knobs.microkernel);
   std::size_t total_card_tiles = 0;
   while (auto idx = grid.steal_front()) {
     const Tile& t = grid.tile(*idx);
-    auto pa = packs.get_a(a.block(t.r0, 0, t.rows, k));
-    auto pb = packs.get_b(b.block(0, t.c0, k, t.cols));
+    auto pa =
+        packs.get_a(a.block(t.r0, 0, t.rows, k), 0, kernel.tile_rows());
+    auto pb = packs.get_b(b.block(0, t.c0, k, t.cols), 0, kernel.nr());
     {
       std::lock_guard lk(trk.mu);
       TileTracker::Entry& e = trk.entries[*idx];

@@ -25,6 +25,10 @@ struct Shared {
   std::size_t nb;
   PanelDag* dag;
   blas::PanelOptions panel;
+  // The update kernel, resolved once: every L21/U12 pack is made at its
+  // tile geometry, so outer_product_packed runs exactly this kernel.
+  blas::mk::Selection<T> kernel =
+      blas::mk::select_kernel<T>(panel.microkernel);
   // Every update task of stage i multiplies against the same L21 panel; the
   // cache (keyed by stage) packs it once per stage instead of once per task.
   // A handful of entries suffices: look-ahead keeps only a few stages live.
@@ -61,9 +65,10 @@ void execute_task(const Task& task, Shared<T>& sh) {
       sh.a, sh.ipiv, r0, iw, c0, std::min(nb, n - c0), sh.panel,
       [&](MatrixView<const T> l21, MatrixView<const T> u,
           MatrixView<T> a22, const blas::PanelOptions& opt) {
-        const auto pl21 = sh.packs.get_a(l21, /*tag=*/task.stage);
+        const auto pl21 =
+            sh.packs.get_a(l21, /*tag=*/task.stage, sh.kernel.tile_rows());
         thread_local blas::PackedB<T> pu;
-        pu.pack(u);
+        pu.pack(u, sh.kernel.nr());
         blas::outer_product_packed<T>(T(-1), *pl21, pu, T(1), a22,
                                       /*pool=*/nullptr, opt.microkernel);
       });

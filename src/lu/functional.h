@@ -30,7 +30,9 @@ struct DagLuPackStats {
 /// of the panel-factor tasks (the critical path the DAG pipelines around).
 /// `panel` carries the critical-path kernel knobs of every panel task, swap
 /// and trailing update; its pool field is ignored (the DAG workers are the
-/// parallelism).
+/// parallelism). The update resolves mk::select_kernel<T>(panel.microkernel)
+/// once and packs L21 and U12 at that kernel's tile geometry, so every
+/// update task runs the dispatched kernel (a pin included).
 ///
 /// Scalar-generic: the float instantiation drives the same DAG protocol
 /// through the float kernel stack (getrf_panel<float>, laswp_fused<float>,

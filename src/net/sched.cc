@@ -284,7 +284,11 @@ struct Sched::Impl {
       if (deadlines.empty()) {
         cv.wait(lk);
       } else {
-        cv.wait_until(lk, deadlines.begin()->first);
+        // Copy the time point: wait_until keeps its argument by reference
+        // while the lock is released, and another worker may erase this
+        // deadline entry (and free its key) in the meantime.
+        const Clock::time_point next = deadlines.begin()->first;
+        cv.wait_until(lk, next);
       }
     }
     lk.unlock();

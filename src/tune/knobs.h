@@ -47,7 +47,7 @@ struct Knobs {
   // recursive panel factorization and the fused-LASWP column chunk.
   std::size_t panel_nb_min = 0;     // 0 = kernel default (8)
   std::size_t laswp_col_chunk = 0;  // 0 = kernel default (kLaswpColChunk)
-  // GEMM micro-kernel registry shape (mr*100 + nr, e.g. 608 = 6x8) and the
+  // GEMM micro-kernel registry shape (mr*100 + nr, e.g. 408 = 4x8) and the
   // mc/nc cache blocking of blas::GemmOptions. All three are
   // bitwise-neutral (unlike chunk_k); blas/block_model.h supplies the
   // analytic starting point the tuner refines.

@@ -78,7 +78,7 @@ Matrix<T> run_ref(std::size_t m, std::size_t n, std::size_t k,
 TEST(MicrokernelRegistry, RegistersEveryShape) {
   const auto& reg = mk::registry<double>();
   ASSERT_EQ(reg.size(), mk::kShapeCount);
-  const int expected_ids[] = {308, 408, 608, 806, 412, 808};
+  const int expected_ids[] = {308, 408, 806, 412, 808};
   for (std::size_t i = 0; i < reg.size(); ++i) {
     EXPECT_EQ(reg[i].shape.id, expected_ids[i]);
     EXPECT_EQ(reg[i].shape.id,
@@ -153,13 +153,14 @@ TEST(MicrokernelRegistry, SpecParsing) {
 }
 
 TEST(MicrokernelRegistry, SelectForTileMatchesPackGeometry) {
-  // The default pack layout (30 x 8) is served by the 3x8 and 6x8 shapes;
-  // the picked one must match the geometry exactly.
+  // Each pack layout names exactly one shape: the default 30 x 8 layout
+  // is 3x8's, whatever the auto policy or a non-matching pin says.
   const auto sel = mk::select_for_tile<double>(30, 8);
   ASSERT_TRUE(static_cast<bool>(sel));
   EXPECT_EQ(sel.tile_rows(), 30u);
   EXPECT_EQ(sel.nr(), 8u);
-  EXPECT_TRUE(sel.mr() == 3 || sel.mr() == 6);
+  EXPECT_EQ(sel.id(), 308);
+  EXPECT_EQ(mk::select_for_tile<double>(30, 8, 808).id(), 308);
 
   const auto pinned = mk::select_for_tile<double>(28, 8, 408);
   if (mk::env_override_spec().empty()) {
@@ -430,14 +431,14 @@ TEST(GemmDispatch, AutoDispatchReportsWidestTier) {
 #if defined(XPHI_MK_HAVE_AVX512)
   if (f.avx512f) {
     EXPECT_EQ(sel.isa, mk::Isa::kAvx512);
-    EXPECT_EQ(sel.id(), 808);
+    EXPECT_EQ(sel.id(), 408);
     return;
   }
 #endif
 #if defined(XPHI_MK_HAVE_AVX2)
   if (f.avx2 && f.fma) {
     EXPECT_EQ(sel.isa, mk::Isa::kAvx2);
-    EXPECT_EQ(sel.id(), 608);
+    EXPECT_EQ(sel.id(), 408);
     return;
   }
 #endif
@@ -445,12 +446,28 @@ TEST(GemmDispatch, AutoDispatchReportsWidestTier) {
   EXPECT_EQ(sel.id(), 308);
 }
 
+template <class T>
+void expect_tile_lookup_returns_auto_kernel() {
+  // Packed-operand consumers pack at select_kernel's geometry and dispatch
+  // through select_for_tile: the round trip must land on the same kernel.
+  const auto sel = mk::select_kernel<T>(0);
+  ASSERT_TRUE(static_cast<bool>(sel));
+  const auto tile = mk::select_for_tile<T>(sel.tile_rows(), sel.nr());
+  ASSERT_TRUE(static_cast<bool>(tile));
+  EXPECT_EQ(tile.id(), sel.id());
+  EXPECT_EQ(tile.isa, sel.isa);
+}
+
+TEST(GemmDispatch, TileLookupAtAutoGeometryReturnsAutoKernel) {
+  expect_tile_lookup_returns_auto_kernel<double>();
+  expect_tile_lookup_returns_auto_kernel<float>();
+}
+
 TEST(GemmDispatch, FloatAutoDispatchPrefersShortBlock) {
   // fp32 auto-dispatch picks 4x8 at EVERY tier: an Nr=8 float row is one
   // 256-bit vector regardless of ISA width, so the tall blocks only deepen
   // the un-contracted mul+add chains (-ffp-contract=off) without adding
-  // lanes. This is what makes the fp32 factor ~2x the fp64 flop rate — the
-  // premise the mixed-precision solver's speedup gate stands on.
+  // lanes.
   for (const char* spec : {"auto@generic", "auto@avx2", "auto@avx512"}) {
     const auto sel = mk::select_kernel_spec<float>(spec);
     if (!sel.has_value()) continue;  // tier not runnable on this host
@@ -460,10 +477,10 @@ TEST(GemmDispatch, FloatAutoDispatchPrefersShortBlock) {
   const auto sel = mk::select_kernel<float>(0);
   ASSERT_TRUE(static_cast<bool>(sel));
   EXPECT_EQ(sel.id(), 408);
-  // The double policy is independent and unchanged by the float preference.
+  // fp64 shares 4x8 on the vector tiers and keeps 3x8 on generic.
   const auto dsel = mk::select_kernel<double>(0);
   ASSERT_TRUE(static_cast<bool>(dsel));
-  EXPECT_NE(dsel.id(), 408);
+  EXPECT_EQ(dsel.id(), dsel.isa == mk::Isa::kGeneric ? 308 : 408);
 }
 
 }  // namespace

@@ -20,8 +20,8 @@ TEST(PackCache, SameBlockPacksOnce) {
   Matrix<double> a(95, 16);
   util::fill_hpl_matrix(a.view(), 1);
   PackCache<double> cache;
-  const auto p1 = cache.get_a(a.view());
-  const auto p2 = cache.get_a(a.view());
+  const auto p1 = cache.get_a(a.view(), 0, kTileRows);
+  const auto p2 = cache.get_a(a.view(), 0, kTileRows);
   EXPECT_EQ(p1.get(), p2.get());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
@@ -32,8 +32,8 @@ TEST(PackCache, PackedContentMatchesDirectPack) {
   util::fill_hpl_matrix(a.view(), 2);
   util::fill_hpl_matrix(b.view(), 3);
   PackCache<double> cache;
-  const auto pa = cache.get_a(a.view());
-  const auto pb = cache.get_b(b.view());
+  const auto pa = cache.get_a(a.view(), 0, kTileRows);
+  const auto pb = cache.get_b(b.view(), 0, kTileCols);
   PackedA<double> ra;
   PackedB<double> rb;
   ra.pack(a.view());
@@ -54,12 +54,16 @@ TEST(PackCache, DistinctBlocksAndShapesAreDistinctEntries) {
   Matrix<double> m(60, 60);
   util::fill_hpl_matrix(m.view(), 4);
   PackCache<double> cache;
-  const auto p1 = cache.get_a(m.block(0, 0, 30, 10));
-  const auto p2 = cache.get_a(m.block(30, 0, 30, 10));  // different origin
-  const auto p3 = cache.get_a(m.block(0, 0, 30, 20));   // different shape
+  const auto p1 = cache.get_a(m.block(0, 0, 30, 10), 0, kTileRows);
+  // Different origin, different shape, different tiling.
+  const auto p2 = cache.get_a(m.block(30, 0, 30, 10), 0, kTileRows);
+  const auto p3 = cache.get_a(m.block(0, 0, 30, 20), 0, kTileRows);
+  const auto p4 = cache.get_a(m.block(0, 0, 30, 10), 0, 28);
   EXPECT_NE(p1.get(), p2.get());
   EXPECT_NE(p1.get(), p3.get());
-  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_NE(p1.get(), p4.get());
+  EXPECT_EQ(p4->tile_rows(), 28u);
+  EXPECT_EQ(cache.misses(), 4u);
 }
 
 TEST(PackCache, TagScopesTheKeyInTime) {
@@ -67,10 +71,10 @@ TEST(PackCache, TagScopesTheKeyInTime) {
   Matrix<double> a(30, 8);
   util::fill_hpl_matrix(a.view(), 5);
   PackCache<double> cache;
-  const auto before = cache.get_a(a.view(), /*tag=*/1);
+  const auto before = cache.get_a(a.view(), /*tag=*/1, kTileRows);
   a(0, 0) = 1234.5;
-  const auto stale = cache.get_a(a.view(), /*tag=*/1);
-  const auto fresh = cache.get_a(a.view(), /*tag=*/2);
+  const auto stale = cache.get_a(a.view(), /*tag=*/1, kTileRows);
+  const auto fresh = cache.get_a(a.view(), /*tag=*/2, kTileRows);
   EXPECT_EQ(before.get(), stale.get());  // same tag: memoized
   EXPECT_NE(before.get(), fresh.get());
   EXPECT_EQ(fresh->tile(0)[0], 1234.5);
@@ -80,9 +84,9 @@ TEST(PackCache, EvictionIsBoundedAndSafeForOutstandingRefs) {
   Matrix<double> m(30, 200);
   util::fill_hpl_matrix(m.view(), 6);
   PackCache<double> cache(/*max_entries=*/2);
-  const auto keep = cache.get_a(m.block(0, 0, 30, 4));
+  const auto keep = cache.get_a(m.block(0, 0, 30, 4), 0, kTileRows);
   for (std::size_t c = 0; c < 20; ++c)
-    (void)cache.get_a(m.block(0, c * 8, 30, 8));
+    (void)cache.get_a(m.block(0, c * 8, 30, 8), 0, kTileRows);
   EXPECT_LE(cache.entries(), 2u);
   // The evicted entry is still alive through our reference.
   for (std::size_t j = 0; j < 4; ++j)
@@ -90,7 +94,7 @@ TEST(PackCache, EvictionIsBoundedAndSafeForOutstandingRefs) {
       EXPECT_EQ(keep->tile(0)[j * 30 + r], m(r, j));
   // Re-requesting an evicted block repacks (miss, not stale hit).
   const std::size_t misses_before = cache.misses();
-  (void)cache.get_a(m.block(0, 0, 30, 4));
+  (void)cache.get_a(m.block(0, 0, 30, 4), 0, kTileRows);
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
 
@@ -100,8 +104,9 @@ TEST(PackCache, ConcurrentGetsPackOnceAndAgree) {
   PackCache<double> cache;
   util::ThreadPool pool(4);
   std::vector<std::shared_ptr<const PackedA<double>>> got(32);
-  pool.parallel_for(got.size(),
-                    [&](std::size_t i) { got[i] = cache.get_a(a.view()); });
+  pool.parallel_for(got.size(), [&](std::size_t i) {
+    got[i] = cache.get_a(a.view(), 0, kTileRows);
+  });
   for (const auto& p : got) EXPECT_EQ(p.get(), got[0].get());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), got.size() - 1);
@@ -135,7 +140,7 @@ TEST(PackCache, ConcurrentChurnSoakNoUseAfterEvict) {
         // A handful of rolling tags keeps evictions churning: the same
         // panel under a fresh tag is a miss that displaces a FIFO victim.
         const std::uint64_t tag = (i / 64) % 3;
-        auto p = cache.get_a(sources[s].view(), tag);
+        auto p = cache.get_a(sources[s].view(), tag, kTileRows);
         const PackedA<double>& want = direct[s];
         if (p->tiles() != want.tiles() || p->depth() != want.depth()) {
           mismatches.fetch_add(1);

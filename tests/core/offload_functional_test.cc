@@ -102,6 +102,34 @@ TEST(OffloadFunctional, RepeatedRunsDeterministicResult) {
   EXPECT_EQ(util::max_abs_diff<double>(c1.view(), c2.view()), 0.0);
 }
 
+TEST(OffloadFunctional, PinnedKernelMatchesDefaultBitwise) {
+  // The engine packs its A/B panels at the pinned kernel's geometry (28-,
+  // 30- and 32-row tiles, 6/8/12-wide), so the cards run that kernel; the
+  // shape is bitwise-neutral, so every pin reproduces the auto-dispatched
+  // run exactly, ragged edge tiles and host-stolen tiles included.
+  const std::size_t m = 157, n = 131, k = 37;
+  Matrix<double> a(m, k), b(k, n), want(m, n);
+  util::fill_hpl_matrix(a.view(), 21);
+  util::fill_hpl_matrix(b.view(), 22);
+  util::fill_hpl_matrix(want.view(), 23);
+  FunctionalOffloadConfig cfg;
+  cfg.cards = 2;
+  cfg.host_steals = true;
+  cfg.knobs.mt = 60;
+  cfg.knobs.nt = 50;
+  offload_gemm_functional(-1.0, a.view(), b.view(), want.view(), cfg);
+  for (const int kernel : {308, 408, 806, 412, 808}) {
+    SCOPED_TRACE(::testing::Message() << "microkernel=" << kernel);
+    Matrix<double> c(m, n);
+    util::fill_hpl_matrix(c.view(), 23);
+    cfg.knobs.microkernel = kernel;
+    const auto stats =
+        offload_gemm_functional(-1.0, a.view(), b.view(), c.view(), cfg);
+    EXPECT_EQ(stats.tiles_cards + stats.tiles_host, stats.tiles_total);
+    EXPECT_EQ(util::max_abs_diff<double>(c.view(), want.view()), 0.0);
+  }
+}
+
 TEST(OffloadFunctional, GetrfBlockedOffloadUpdateMatchesDefault) {
   // getrf_blocked's trailing-update seam: routing every stage's update
   // through the offload engine (queues + card threads + stealing) must pick

@@ -12,14 +12,17 @@ namespace xphi::lu {
 namespace {
 
 template <class T>
-void expect_dag_matches_blocked(std::size_t n, std::size_t nb, int workers) {
+void expect_dag_matches_blocked(std::size_t n, std::size_t nb, int workers,
+                                int microkernel) {
   util::Matrix<T> a1(n, n), a2(n, n);
   util::fill_hpl_matrix(a1.view(), 9);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) a2(r, c) = a1(r, c);
   std::vector<std::size_t> p1(n), p2(n);
   ASSERT_TRUE(blas::getrf_blocked<T>(a1.view(), p1, nb));
-  ASSERT_TRUE(dag_lu_factor_t<T>(a2.view(), p2, nb, workers));
+  blas::PanelOptions panel;
+  panel.microkernel = microkernel;
+  ASSERT_TRUE(dag_lu_factor_t<T>(a2.view(), p2, nb, workers, nullptr, panel));
   EXPECT_EQ(p1, p2);
   EXPECT_EQ(util::max_abs_diff<T>(a1.view(), a2.view()), 0.0);
 }
@@ -27,16 +30,22 @@ void expect_dag_matches_blocked(std::size_t n, std::size_t nb, int workers) {
 TEST(DagLuFactor, MatchesSequentialBlockedFactorization) {
   // Both drivers run the same stage primitives, so the DAG's reordering
   // must reproduce the blocked oracle bit for bit — ragged last panels,
-  // nb > n and the 1x1 matrix included, on one worker and on four.
+  // nb > n and the 1x1 matrix included, on one worker and on four. The
+  // update packs at the pinned kernel's geometry (30-, 28- and 32-row
+  // tiles), and kernel shape is bitwise-neutral, so every pin matches the
+  // auto-dispatched oracle.
   struct Shape { std::size_t n, nb; };
   for (const Shape& sh :
        {Shape{96, 24}, Shape{70, 12}, Shape{10, 16}, Shape{1, 8},
         Shape{130, 32}}) {
     for (const int workers : {1, 4}) {
-      SCOPED_TRACE(::testing::Message() << "n=" << sh.n << " nb=" << sh.nb
-                                        << " workers=" << workers);
-      expect_dag_matches_blocked<double>(sh.n, sh.nb, workers);
-      expect_dag_matches_blocked<float>(sh.n, sh.nb, workers);
+      for (const int kernel : {0, 308, 408, 806, 412, 808}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << sh.n << " nb=" << sh.nb
+                     << " workers=" << workers << " microkernel=" << kernel);
+        expect_dag_matches_blocked<double>(sh.n, sh.nb, workers, kernel);
+        expect_dag_matches_blocked<float>(sh.n, sh.nb, workers, kernel);
+      }
     }
   }
 }
