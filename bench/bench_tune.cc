@@ -1,13 +1,13 @@
-// Autotuning driver: runs the tune::Tuner over every tunable op at its
-// paper shapes and reports default vs tuned GF/s (the payoff artifact of
-// the src/tune subsystem, BENCH_tune.json).
+// Autotuning bench: runs the tune::Tuner over every op whose tuning pays
+// (the functional offload engine, the LU panel, the GEMM micro-kernel and
+// the collective dispatch) and reports default vs tuned GF/s (the payoff
+// artifact of the src/tune subsystem, BENCH_tune.json).
 //
 // Each op's search is seeded at the engine's built-in default choice, so
 // "tuned" can only match or beat "default" — both numbers come from the
-// same cost oracle (the src/sim models for the projected ops, wall-clock
-// for the functional engine). The winners land in a TuningDB file
-// (--db, default tunedb.json): a later run — or any consumer passing a
-// warm-started Tuner — reproduces the tuned knobs without searching.
+// same wall-clock oracle. The winners land in a TuningDB file (--db,
+// default tunedb.json) that consumers passing a Tuner read; a later run
+// merges into it, the lower cost winning per entry.
 //
 // Flags:
 //   --budget N   max distinct evaluations per (op, shape)   [default 48]
@@ -23,18 +23,12 @@
 #include <vector>
 
 #include "blas/lu_kernels.h"
-#include "core/hybrid_hpl.h"
-#include "hpl/mixed.h"
-#include "core/offload_dgemm.h"
 #include "core/offload_functional.h"
 #include "hpcc/beff.h"
 #include "json_out.h"
 #include "net/world.h"
-#include "lu/sim_scheduler.h"
-#include "sim/lu_model.h"
 #include "tune/search_space.h"
 #include "tune/tuner.h"
-#include "util/flops.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -179,132 +173,12 @@ int main(int argc, char** argv) {
   search.budget = opt.budget;
   search.seed = opt.seed;
 
-  const sim::KncGemmModel knc;
-  const sim::SnbModel snb;
-  const sim::SnbLuModel snb_lu;
-  const sim::KncLuModel knc_lu;
-  const pci::PcieLink link;
-  const net::CostModel net_model;
-
   std::vector<OpRow> rows;
 
-  // --- offload DGEMM (Mt, Nt): Figure 11 trailing-update shapes. ---------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{10000, 30000}
-                  : std::vector<std::size_t>{10000, 30000, 52000, 82000};
-    const tune::SearchSpace space = tune::spaces::offload_tiles();
-    for (std::size_t n : shapes) {
-      core::OffloadDgemmConfig cfg;
-      cfg.m = cfg.n = n;
-      // Seed at the engine's runtime-adaptive pick: "default" below is
-      // exactly what simulate_offload_dgemm does with no knobs set.
-      const auto pick = core::tune_tile_size(cfg.m, cfg.n, cfg.kt, knc, link);
-      tune::SearchOptions so = search;
-      so.start = {space.nearest_index(0, static_cast<long long>(pick.first)),
-                  space.nearest_index(1, static_cast<long long>(pick.second))};
-      const tune::ShapeBucket shape = tune::bucket(cfg.m, cfg.n, cfg.kt);
-      OpRow row{.op = "offload_dgemm", .shape_n = n, .bucket = shape.key(),
-                .flops = 2.0 * cfg.m * cfg.n * cfg.kt};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            core::OffloadDgemmConfig c = cfg;
-            c.knobs.mt = static_cast<std::size_t>(v[0]);
-            c.knobs.nt = static_cast<std::size_t>(v[1]);
-            return core::simulate_offload_dgemm(c, knc, snb, link).seconds;
-          },
-          so);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // --- native LU super-stage policy: Figure 6 problem sizes. -------------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{8000}
-                  : std::vector<std::size_t>{8000, 15000, 30000};
-    const int cores = knc_lu.spec().compute_cores();
-    const tune::SearchSpace space = tune::spaces::superstage(cores);
-    constexpr std::size_t kNb = 240;
-    for (std::size_t n : shapes) {
-      const tune::ShapeBucket shape = tune::bucket(n, n, kNb);
-      OpRow row{.op = "native_lu", .shape_n = n, .bucket = shape.key(),
-                .flops = util::linpack_flops(n)};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            lu::NativeLuConfig cfg;
-            cfg.n = n;
-            cfg.nb = kNb;
-            const auto plan = lu::model_tuned_plan(
-                knc_lu, n, kNb, cores, static_cast<int>(v[0]),
-                static_cast<std::size_t>(v[1]));
-            return lu::simulate_dynamic_lu(cfg, knc_lu, plan).seconds;
-          },
-          search);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // --- hybrid HPL look-ahead scheme: Figure 8 / Table III shapes. --------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{42000}
-                  : std::vector<std::size_t>{42000, 84000};
-    const tune::SearchSpace space = tune::spaces::lookahead();
-    for (std::size_t n : shapes) {
-      const tune::ShapeBucket shape = tune::bucket(n, n, 1200);
-      OpRow row{.op = "hybrid_hpl", .shape_n = n, .bucket = shape.key(),
-                .flops = util::linpack_flops(n)};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            core::HybridHplConfig cfg;
-            cfg.n = n;
-            cfg.scheme = static_cast<core::Lookahead>(v[0]);
-            cfg.pipeline_subsets = static_cast<int>(v[1]);
-            return core::simulate_hybrid_hpl(cfg, knc, snb, snb_lu, link,
-                                             net_model)
-                .seconds;
-          },
-          search);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // --- DGEMM panel depth k: the Table II sweep as a 1-D search. ----------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{8000}
-                  : std::vector<std::size_t>{8000, 28000};
-    const tune::SearchSpace space = tune::spaces::gemm_chunk();
-    const int cores = knc.spec().compute_cores();
-    for (std::size_t n : shapes) {
-      const tune::ShapeBucket shape = tune::bucket(n, n, 1200);
-      OpRow row{.op = "gemm_chunk", .shape_n = n, .bucket = shape.key(),
-                .flops = 2.0 * n * n * 1200};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            return knc.gemm_seconds(n, n, 1200,
-                                    static_cast<std::size_t>(v[0]), true,
-                                    sim::Precision::kDouble, cores);
-          },
-          search);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // --- Functional offload engine: the one *measured* op. -----------------
-  // Same search engine, wall-clock oracle: real threads, real packing, real
-  // queues. Both "default" and "tuned" are measured through the identical
-  // callback, so the comparison stays apples-to-apples even though the
-  // clock is noisy.
+  // --- Functional offload engine. ----------------------------------------
+  // Wall-clock oracle: real threads, real packing, real queues. Both
+  // "default" and "tuned" are measured through the identical callback, so
+  // the comparison stays apples-to-apples even though the clock is noisy.
   {
     const std::size_t m = opt.smoke ? 128 : 384;
     const std::size_t n = m, k = opt.smoke ? 32 : 96;
@@ -342,7 +216,7 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // --- LU panel critical path: the second *measured* op. -----------------
+  // --- LU panel critical path. -------------------------------------------
   // Wall-clock getrf_panel (recursive factorization + fused LASWP + blocked
   // TRSM) on a tall paper-shaped panel, searching the recursion cutoff and
   // the LASWP column chunk. Seeded at the kernel defaults so "default" is
@@ -383,7 +257,7 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // --- GEMM micro-kernel co-design: the third *measured* op. -------------
+  // --- GEMM micro-kernel co-design. --------------------------------------
   // Wall-clock gemm_tiled over the registry shape and the mc/kc/nc cache
   // blocking, run twice: seeded at the engine defaults with the full
   // budget, then seeded at the analytic block-model point
@@ -448,43 +322,7 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(mrow));
   }
 
-  // --- Mixed-precision HPL: wall-clock end-to-end solve. -----------------
-  // Searches the fp32 panel width (mixed_nb) and the micro-kernel shape the
-  // fp32 GEMM dispatches, seeded at the solver defaults (nb=64, auto
-  // dispatch) so "default" is exactly what solve_mixed does untuned. The
-  // oracle is the full solve (demote + fp32 factor + refinement), so a
-  // candidate that speeds the factor but stalls refinement cannot win.
-  {
-    const std::size_t n = opt.smoke ? 128 : 512;
-    util::ThreadPool pool(3);
-    const tune::SearchSpace space = tune::spaces::mixed();
-    const tune::ShapeBucket shape = tune::bucket(n, n, 64);
-    OpRow row{.op = "mixed_hpl", .shape_n = n, .bucket = shape.key(),
-              .flops = util::linpack_flops(n)};
-    tune::SearchOptions so = search;
-    so.start = {space.nearest_index(0, 64), space.nearest_index(1, 0)};
-    if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tuner.tune(
-        row.op, shape, space,
-        [&](const std::vector<long long>& v) {
-          hpl::MixedOptions mo;
-          mo.nb = static_cast<std::size_t>(v[0]);
-          mo.panel.microkernel = static_cast<int>(v[1]);
-          mo.pool = &pool;
-          const auto t0 = std::chrono::steady_clock::now();
-          const hpl::MixedSolveResult r = hpl::solve_mixed_seeded(n, 42, mo);
-          const std::chrono::duration<double> dt =
-              std::chrono::steady_clock::now() - t0;
-          // A diverging candidate must never win on speed.
-          if (!r.ok) return 1e9;
-          return dt.count() > 1e-9 ? dt.count() : 1e-9;
-        },
-        so);
-    row.knobs = knob_string(space, row.result.best);
-    rows.push_back(std::move(row));
-  }
-
-  // --- net collective dispatch: the fourth *measured* op, b_eff-seeded. --
+  // --- net collective dispatch, b_eff-seeded. ----------------------------
   // Same co-design shape as the microkernel pair: a default-seeded full-
   // budget search over spaces::net(), then a b_eff-measured seed
   // (hpcc::seed_net_point from the collective probe table) with HALF the

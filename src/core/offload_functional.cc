@@ -125,9 +125,6 @@ FunctionalOffloadStats offload_gemm_functional(
       if (tuned->nt != 0) knobs.nt = tuned->nt;
       if (tuned->pack_cache_entries != 0)
         knobs.pack_cache_entries = tuned->pack_cache_entries;
-      if (tuned->microkernel != 0) knobs.microkernel = tuned->microkernel;
-      if (tuned->gemm_mc != 0) knobs.gemm_mc = tuned->gemm_mc;
-      if (tuned->gemm_nc != 0) knobs.gemm_nc = tuned->gemm_nc;
     }
   }
   if (knobs.mt == 0) knobs.mt = 64;

@@ -29,13 +29,13 @@ struct NativeLinpackOptions {
   // Projection:
   bool capture_timeline = false;
   /// Critical-path kernel knobs for the functional run (panel recursion
-  /// cutoff, fused-LASWP column chunk, micro-kernel). A tuner with a stored
-  /// "panel" entry overrides these.
+  /// cutoff, fused-LASWP column chunk, micro-kernel). A tuner's stored
+  /// entries override these.
   blas::PanelOptions panel;
-  /// Optional tuning database (tune/tuner.h): a stored "native_lu" entry for
-  /// this projection's bucket supplies the super-stage plan's group-core cap
-  /// and regroup period (tune::Knobs::superstage_*); a stored "panel" entry
-  /// supplies the functional run's panel/LASWP knobs. Null = defaults.
+  /// Optional tuning database (tune/tuner.h) for the functional run: a
+  /// stored "panel" entry supplies the panel/LASWP knobs and a stored
+  /// "microkernel" entry the GEMM shape. The projection always runs the
+  /// paper's super-stage plan (model_tuned_plan). Null = defaults.
   const tune::Tuner* tuner = nullptr;
 };
 

@@ -325,13 +325,9 @@ NativeLuResult simulate_static_lookahead_lu(const NativeLuConfig& cfg,
 }
 
 ThreadPlan model_tuned_plan(const sim::KncLuModel& model, std::size_t n,
-                            std::size_t nb, int total_cores,
-                            int max_group_cores, std::size_t regroup_period) {
+                            std::size_t nb, int total_cores) {
   const std::size_t num_panels = ceil_div(n, nb);
-  const int cap = max_group_cores > 0
-                      ? std::min(max_group_cores, std::max(1, total_cores / 2))
-                      : std::max(1, total_cores / 2);
-  const std::size_t period = std::max<std::size_t>(1, regroup_period);
+  const int cap = std::max(1, total_cores / 2);
   std::vector<SuperStage> stages;
   int current = 0;
   for (std::size_t s = 0; s < num_panels; ++s) {
@@ -352,20 +348,11 @@ ThreadPlan model_tuned_plan(const sim::KncLuModel& model, std::size_t n,
       }
     }
     if (g > current) {
-      // Regrouping only happens on period boundaries: growth requested
-      // mid-period starts at the next multiple (s = 0 is always a boundary).
-      std::size_t start = s;
-      if (start % period != 0) start += period - start % period;
-      if (start >= num_panels) continue;
-      if (!stages.empty() && stages.back().first_stage == start)
-        stages.back().group_cores = std::max(stages.back().group_cores, g);
-      else
-        stages.push_back({start, g});
+      stages.push_back({s, g});
       current = g;
     }
   }
-  if (stages.empty() || stages.front().first_stage != 0)
-    stages.insert(stages.begin(), {0, std::max(1, current)});
+  if (stages.empty()) stages.push_back({0, 1});
   return ThreadPlan(total_cores, std::move(stages));
 }
 

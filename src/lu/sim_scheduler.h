@@ -50,17 +50,9 @@ NativeLuResult simulate_static_lookahead_lu(const NativeLuConfig& config,
 
 /// The paper's super-stage plan: for each stage, the smallest power-of-two
 /// group that the model predicts hides the panel factorization under the
-/// trailing update, merged into monotonically growing super-stages.
-///
-/// `max_group_cores` caps the per-group core count (0 = the paper's default
-/// of total_cores / 2); `regroup_period` quantizes where a new super-stage
-/// may begin — growth requested mid-period is deferred to the next multiple
-/// of the period, trading regrouping barriers against panel exposure. Both
-/// are tuning knobs (tune::Knobs::superstage_*); the defaults reproduce the
-/// original plan exactly.
+/// trailing update, capped at half the device (the paper's choice), merged
+/// into monotonically growing super-stages that may start at any stage.
 ThreadPlan model_tuned_plan(const sim::KncLuModel& model, std::size_t n,
-                            std::size_t nb, int total_cores,
-                            int max_group_cores = 0,
-                            std::size_t regroup_period = 1);
+                            std::size_t nb, int total_cores);
 
 }  // namespace xphi::lu

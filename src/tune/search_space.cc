@@ -71,44 +71,12 @@ std::size_t SearchSpace::points() const noexcept {
 
 namespace spaces {
 
-SearchSpace offload_tiles() {
-  SearchSpace s;
-  const std::vector<long long> tiles{1200, 2400, 3600, 4800, 7200, 9600};
-  s.add("mt", tiles, 4800);
-  s.add("nt", tiles, 4800);
-  return s;
-}
-
 SearchSpace functional_offload() {
   SearchSpace s;
   const std::vector<long long> tiles{16, 24, 32, 48, 64, 96, 128};
   s.add("mt", tiles, 64);
   s.add("nt", tiles, 64);
   s.add("pack_cache_entries", {8, 16, 32, 64, 128}, 64);
-  return s;
-}
-
-SearchSpace gemm_chunk() {
-  SearchSpace s;
-  s.add("chunk_k", {120, 180, 240, 300, 340, 400, 480, 600}, 300);
-  return s;
-}
-
-SearchSpace superstage(int total_cores) {
-  SearchSpace s;
-  const long long cap = std::max(1, total_cores / 2);
-  std::vector<long long> groups;
-  for (long long g = 2; g < cap; g *= 2) groups.push_back(g);
-  groups.push_back(cap);  // the paper's default cap: half the device
-  s.add("superstage_max_group", groups, cap);
-  s.add("superstage_period", {1, 2, 4, 8}, 1);
-  return s;
-}
-
-SearchSpace lookahead() {
-  SearchSpace s;
-  s.add("lookahead", {0, 1, 2}, 2);
-  s.add("pipeline_subsets", {2, 4, 8, 12, 16}, 8);
   return s;
 }
 
@@ -129,17 +97,6 @@ SearchSpace microkernel() {
   // behavior). The high end covers what a multi-MiB L2 derives to.
   s.add("gemm_mc", {0, 96, 192, 288, 384, 480, 640, 960}, 0);
   s.add("gemm_nc", {0, 192, 384, 512, 680, 1024, 2048, 4096}, 0);
-  return s;
-}
-
-SearchSpace mixed() {
-  SearchSpace s;
-  // fp32 panel width: half-size elements mean twice the panel columns fit
-  // the same cache footprint, so the band extends past the fp64 sweet spot.
-  s.add("mixed_nb", {32, 48, 64, 96, 128}, 64);
-  // Same registry shape ids as microkernel(); the fp32 tables carry every
-  // shape, and 0 = auto-dispatch (widest supported).
-  s.add("microkernel", {0, 308, 408, 806, 412, 808}, 0);
   return s;
 }
 

@@ -6,12 +6,15 @@
 // is finite, enumerable and cheap to hash; values_at() maps a point back to
 // the knob values an evaluation callback consumes.
 //
-// The canonical spaces below cover the knobs that were previously hard-coded
-// or ad hoc per call site: the offload (Mt, Nt) candidate table, the
-// functional engine's tile and PackCache capacity, gemm_tiled's k-chunk (the
-// Table II sweep), the super-stage regrouping policy, and the hybrid-HPL
-// look-ahead scheme. Registering a new knob = adding a dimension (or a new
-// space) here with the name knobs.h recognizes.
+// The canonical spaces below cover the knobs a search actually moves: the
+// functional offload engine's tiles and PackCache capacity, the LU panel's
+// critical-path kernels, the GEMM micro-kernel and cache blocking, the solve
+// server's scheduling, the collective dispatch and the HPCC workloads. The
+// paper's hand-picked choices the models already reproduce (the (Mt, Nt)
+// candidate table, the Table II panel depth, the super-stage cap, the
+// look-ahead scheme) are constants at their engines, not spaces.
+// Registering a new knob = adding a dimension (or a new space) here with the
+// name knobs.h recognizes.
 #pragma once
 
 #include <cstddef>
@@ -56,21 +59,8 @@ class SearchSpace {
 /// Canonical spaces for the existing knobs.
 namespace spaces {
 
-/// Offload DGEMM (Mt, Nt): the paper's candidate tile table.
-SearchSpace offload_tiles();
-
 /// Functional offload engine: host-scale tiles plus PackCache capacity.
 SearchSpace functional_offload();
-
-/// gemm_tiled / outer-product panel depth k (Table II's sweep values).
-SearchSpace gemm_chunk();
-
-/// Native LU super-stage regrouping: per-group core cap (powers of two up
-/// to total_cores / 2) and the stage quantum between regroupings.
-SearchSpace superstage(int total_cores);
-
-/// Hybrid HPL look-ahead scheme and pipelined column-subset count.
-SearchSpace lookahead();
 
 /// LU panel critical path: recursive-panel cutoff nb_min and the fused
 /// LASWP column chunk (blas::PanelOptions).
@@ -80,12 +70,6 @@ SearchSpace panel();
 /// auto-dispatch) plus the mc/kc/nc cache blocking of blas::GemmOptions
 /// (0 = unbounded for mc/nc).
 SearchSpace microkernel();
-
-/// Mixed-precision HPL: the fp32 factorization's panel width (mixed_nb —
-/// fp32 tiles are half the bytes, so the candidate band sits wider than the
-/// fp64 nb) plus the micro-kernel shape the fp32 GEMM dispatches
-/// (hpl::MixedOptions consumes the tuned record).
-SearchSpace mixed();
 
 /// Solve-server scheduling: batch coalescing window (us), LU-cache shard
 /// count and total capacity, interactive lane weight, per-lane admission

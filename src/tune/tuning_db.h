@@ -9,8 +9,8 @@
 //     "schema": "xphi-tunedb",
 //     "version": 1,
 //     "entries": [
-//       {"machine": "...", "op": "offload_dgemm", "bucket": "m16384_n16384_k2048",
-//        "cost": 0.123, "budget": 48, "knobs": {"mt": 4800, "nt": 2400}},
+//       {"machine": "...", "op": "offload_functional", "bucket": "m512_n512_k128",
+//        "cost": 0.123, "budget": 48, "knobs": {"mt": 64, "nt": 32}},
 //       ...
 //     ]
 //   }
@@ -34,7 +34,7 @@ namespace xphi::tune {
 
 struct TuningKey {
   std::string machine;  // hardware fingerprint (tuner.h)
-  std::string op;       // e.g. "offload_dgemm", "native_lu", "hybrid_hpl"
+  std::string op;       // e.g. "offload_functional", "panel", "net"
   std::string bucket;   // ShapeBucket::key()
 
   bool operator==(const TuningKey&) const = default;

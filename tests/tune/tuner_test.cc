@@ -7,9 +7,7 @@
 
 #include "blas/gemm_ref.h"
 #include "blas/lu_kernels.h"
-#include "core/offload_dgemm.h"
 #include "core/offload_functional.h"
-#include "lu/native_linpack.h"
 #include "sim/machine.h"
 #include "tune/search_space.h"
 #include "util/rng.h"
@@ -144,50 +142,85 @@ TEST(Tuner, WarmStartRoundTripsThroughDisk) {
 }
 
 TEST(Knobs, EncodeDecodeRoundTrip) {
+  // Every field set to a distinct non-zero value: a missing table row drops
+  // its field from the encoding, a misspelt one changes the stored name.
   Knobs k;
-  k.mt = 4800;
-  k.nt = 2400;
-  k.pack_cache_entries = 64;
-  k.chunk_k = 300;
-  k.superstage_max_group = 16;
-  k.superstage_period = 4;
-  k.lookahead = 2;
-  k.pipeline_subsets = 8;
-  k.panel_nb_min = 16;
-  k.laswp_col_chunk = 512;
-  k.net_crossover_doubles = 4096;
-  k.net_ring_segment = 512;
-  k.mixed_nb = 96;
-  const Knobs back = knobs_from_values(values_from_knobs(k));
+  k.mt = 1;
+  k.nt = 2;
+  k.pack_cache_entries = 3;
+  k.panel_nb_min = 4;
+  k.laswp_col_chunk = 5;
+  k.microkernel = 6;
+  k.gemm_mc = 7;
+  k.gemm_nc = 8;
+  k.serve_batch_window_us = 9;
+  k.serve_cache_shards = 10;
+  k.serve_cache_capacity = 11;
+  k.serve_lane_weight = 12;
+  k.serve_admission_queue = 13;
+  k.net_crossover_doubles = 14;
+  k.net_ring_segment = 15;
+  k.ptrans_nb = 16;
+  k.gups_batch = 17;
+  k.gups_lookahead = 18;
+  k.stream_chunk = 19;
+  const std::vector<std::pair<std::string, long long>> encoded =
+      values_from_knobs(k);
+  const std::vector<std::pair<std::string, long long>> expected{
+      {"mt", 1},
+      {"nt", 2},
+      {"pack_cache_entries", 3},
+      {"panel_nb_min", 4},
+      {"laswp_col_chunk", 5},
+      {"microkernel", 6},
+      {"gemm_mc", 7},
+      {"gemm_nc", 8},
+      {"serve_batch_window", 9},
+      {"serve_cache_shards", 10},
+      {"serve_cache_capacity", 11},
+      {"serve_lane_weight", 12},
+      {"serve_admission_queue", 13},
+      {"net_crossover_doubles", 14},
+      {"net_ring_segment", 15},
+      {"ptrans_nb", 16},
+      {"gups_batch", 17},
+      {"gups_lookahead", 18},
+      {"stream_chunk", 19}};
+  EXPECT_EQ(encoded, expected);
+  const Knobs back = knobs_from_values(encoded);
   EXPECT_EQ(back.mt, k.mt);
   EXPECT_EQ(back.nt, k.nt);
   EXPECT_EQ(back.pack_cache_entries, k.pack_cache_entries);
-  EXPECT_EQ(back.chunk_k, k.chunk_k);
-  EXPECT_EQ(back.superstage_max_group, k.superstage_max_group);
-  EXPECT_EQ(back.superstage_period, k.superstage_period);
-  EXPECT_EQ(back.lookahead, k.lookahead);
-  EXPECT_EQ(back.pipeline_subsets, k.pipeline_subsets);
   EXPECT_EQ(back.panel_nb_min, k.panel_nb_min);
   EXPECT_EQ(back.laswp_col_chunk, k.laswp_col_chunk);
+  EXPECT_EQ(back.microkernel, k.microkernel);
+  EXPECT_EQ(back.gemm_mc, k.gemm_mc);
+  EXPECT_EQ(back.gemm_nc, k.gemm_nc);
+  EXPECT_EQ(back.serve_batch_window_us, k.serve_batch_window_us);
+  EXPECT_EQ(back.serve_cache_shards, k.serve_cache_shards);
+  EXPECT_EQ(back.serve_cache_capacity, k.serve_cache_capacity);
+  EXPECT_EQ(back.serve_lane_weight, k.serve_lane_weight);
+  EXPECT_EQ(back.serve_admission_queue, k.serve_admission_queue);
   EXPECT_EQ(back.net_crossover_doubles, k.net_crossover_doubles);
   EXPECT_EQ(back.net_ring_segment, k.net_ring_segment);
-  EXPECT_EQ(back.mixed_nb, k.mixed_nb);
-  // lookahead 0 (kNone) is a *set* value, distinct from the -1 default.
-  Knobs none;
-  none.lookahead = 0;
-  EXPECT_EQ(knobs_from_values(values_from_knobs(none)).lookahead, 0);
-  // Unknown and out-of-range inputs are skipped, not wrapped.
-  const Knobs odd = knobs_from_values({{"mt", -5}, {"lookahead", 9},
-                                       {"warp_width", 32}});
+  EXPECT_EQ(back.ptrans_nb, k.ptrans_nb);
+  EXPECT_EQ(back.gups_batch, k.gups_batch);
+  EXPECT_EQ(back.gups_lookahead, k.gups_lookahead);
+  EXPECT_EQ(back.stream_chunk, k.stream_chunk);
+  // An unset record encodes to nothing.
+  EXPECT_TRUE(values_from_knobs(Knobs{}).empty());
+  // Unknown names (including retired knobs an old DB file still carries)
+  // and negative values are skipped, not wrapped.
+  const Knobs odd = knobs_from_values(
+      {{"mt", -5}, {"serve_lane_weight", -1}, {"superstage_period", 4},
+       {"warp_width", 32}, {"nt", 7}});
   EXPECT_EQ(odd.mt, 0u);
-  EXPECT_EQ(odd.lookahead, -1);
+  EXPECT_EQ(odd.serve_lane_weight, 0);
+  EXPECT_EQ(odd.nt, 7u);
 }
 
 TEST(CanonicalSpaces, CoverTheDocumentedKnobs) {
-  EXPECT_EQ(spaces::offload_tiles().dims(), 2u);
   EXPECT_EQ(spaces::functional_offload().dims(), 3u);
-  EXPECT_EQ(spaces::gemm_chunk().dims(), 1u);
-  EXPECT_EQ(spaces::lookahead().dims(), 2u);
   // Collective dispatch: crossover + ring segment, defaulted at the World's
   // built-in constants so an unsearched space reproduces stock dispatch.
   const SearchSpace ns = spaces::net();
@@ -197,15 +230,6 @@ TEST(CanonicalSpaces, CoverTheDocumentedKnobs) {
   const auto net_defaults = ns.values_at(ns.default_point());
   EXPECT_EQ(net_defaults[0], 1024);
   EXPECT_EQ(net_defaults[1], 1024);
-  // Mixed-precision HPL: fp32 panel width + micro-kernel shape, defaulted
-  // at the solver's built-ins (nb=64, auto-dispatch).
-  const SearchSpace ms = spaces::mixed();
-  ASSERT_EQ(ms.dims(), 2u);
-  EXPECT_EQ(ms.dim(0).name, "mixed_nb");
-  EXPECT_EQ(ms.dim(1).name, "microkernel");
-  const auto mixed_defaults = ms.values_at(ms.default_point());
-  EXPECT_EQ(mixed_defaults[0], 64);
-  EXPECT_EQ(mixed_defaults[1], 0);
   // Panel critical path: cutoff + LASWP chunk, defaulted at the kernel's
   // built-in constants so an unsearched space reproduces the stock kernels.
   const SearchSpace ps = spaces::panel();
@@ -216,18 +240,6 @@ TEST(CanonicalSpaces, CoverTheDocumentedKnobs) {
   EXPECT_EQ(defaults[0], 8);
   EXPECT_EQ(defaults[1],
             static_cast<long long>(xphi::blas::kLaswpColChunk));
-  const SearchSpace ss = spaces::superstage(56);
-  ASSERT_EQ(ss.dims(), 2u);
-  // Group caps: a power-of-two ladder topped by the paper's default cap of
-  // total / 2 (which need not itself be a power of two).
-  const auto& caps = ss.dim(0).values;
-  ASSERT_FALSE(caps.empty());
-  EXPECT_EQ(caps.back(), 28);
-  for (std::size_t i = 0; i + 1 < caps.size(); ++i) {
-    EXPECT_LT(caps[i], 28);
-    EXPECT_EQ(caps[i] & (caps[i] - 1), 0) << caps[i];
-  }
-  EXPECT_EQ(ss.values_at(ss.default_point())[0], 28);
 }
 
 TEST(Tuner, FingerprintIsTopologyNotNames) {
@@ -239,43 +251,6 @@ TEST(Tuner, FingerprintIsTopologyNotNames) {
 }
 
 // --- Consumer integration -------------------------------------------------
-
-TEST(Consumers, OffloadDgemmWarmStartsFromTheDB) {
-  const sim::KncGemmModel knc;
-  const sim::SnbModel snb;
-  const pci::PcieLink link;
-
-  core::OffloadDgemmConfig cfg;
-  cfg.m = cfg.n = 20000;
-  const std::size_t cols = cfg.n / cfg.cards;
-
-  Tuner t;
-  TuningEntry e;
-  e.knobs = {{"mt", 2400}, {"nt", 3600}};
-  e.cost = 1.0;
-  t.db().put({t.machine(), "offload_dgemm",
-              bucket(cfg.m, cols, cfg.kt).key()},
-             e);
-
-  cfg.tuner = &t;
-  const auto r = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  EXPECT_EQ(r.mt, 2400u);
-  EXPECT_EQ(r.nt, 3600u);
-
-  // Explicit knobs beat the DB, and a cold DB falls back to the candidate
-  // table (same pick as no tuner at all).
-  cfg.knobs.mt = cfg.knobs.nt = 4800;
-  const auto explicit_r = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  EXPECT_EQ(explicit_r.mt, 4800u);
-  cfg.knobs = {};
-  Tuner cold;
-  cfg.tuner = &cold;
-  const auto from_table = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  cfg.tuner = nullptr;
-  const auto no_tuner = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  EXPECT_EQ(from_table.mt, no_tuner.mt);
-  EXPECT_EQ(from_table.nt, no_tuner.nt);
-}
 
 TEST(Consumers, TuningChangesSpeedNeverResults) {
   // The bitwise-determinism acceptance gate: the functional offload engine
@@ -304,29 +279,6 @@ TEST(Consumers, TuningChangesSpeedNeverResults) {
                                 cfg);
 
   EXPECT_EQ(util::max_abs_diff<double>(c_tuned.view(), c_default.view()), 0.0);
-}
-
-TEST(Consumers, NativeLinpackReadsSuperstageKnobs) {
-  lu::NativeLinpackOptions opt;
-  opt.workers = 2;
-  const auto base = lu::run_native_linpack(64, 8000, opt);
-  ASSERT_TRUE(base.functional.ok);
-
-  Tuner t;
-  TuningEntry e;
-  e.knobs = {{"superstage_max_group", 2}, {"superstage_period", 8}};
-  e.cost = 1.0;
-  t.db().put({t.machine(), "native_lu", bucket(8000, 8000, opt.nb).key()}, e);
-  opt.tuner = &t;
-  const auto tuned = lu::run_native_linpack(64, 8000, opt);
-
-  // The functional (numerical) run is identical — only the projection's
-  // schedule moved.
-  EXPECT_EQ(tuned.functional.residual, base.functional.residual);
-  EXPECT_GT(tuned.projected.gflops, 0.0);
-  // Capping groups at 2 cores with sparse regrouping slows the projection:
-  // the knob demonstrably reached the scheduler.
-  EXPECT_NE(tuned.projected.seconds, base.projected.seconds);
 }
 
 }  // namespace
