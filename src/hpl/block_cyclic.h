@@ -67,7 +67,29 @@ class BlockCyclic {
     return local_extent(pcol, grid_.q);
   }
 
+  /// First local row of process-row `prow` whose global index is >= g
+  /// (local_rows(prow) when there is none).
+  std::size_t first_local_row(int prow, std::size_t g) const noexcept {
+    return first_local(prow, grid_.p, g, local_rows(prow));
+  }
+  std::size_t first_local_col(int pcol, std::size_t g) const noexcept {
+    return first_local(pcol, grid_.q, g, local_cols(pcol));
+  }
+
  private:
+  /// The owned blocks before global block g / nb are all full, so the
+  /// answer is their row count, plus g's offset when g's block is owned.
+  std::size_t first_local(int pos, int procs, std::size_t g,
+                          std::size_t extent) const noexcept {
+    const std::size_t block = g / nb_;
+    const std::size_t np = static_cast<std::size_t>(procs);
+    const std::size_t p = static_cast<std::size_t>(pos);
+    const std::size_t owned_before = block / np + (block % np > p ? 1 : 0);
+    const std::size_t lo =
+        owned_before * nb_ + (block % np == p ? g % nb_ : 0);
+    return lo < extent ? lo : extent;
+  }
+
   std::size_t local_extent(int pos, int procs) const noexcept {
     const std::size_t blocks = num_blocks();
     const std::size_t full = blocks / procs;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <mutex>
 #include <numeric>
 #include <type_traits>
@@ -30,8 +29,9 @@ using util::MatrixView;
 // Message tags: stage bk owns the window [bk, bk + 1) * kTagStride. The U
 // broadcast takes two slots: kTagU carries the full-width block (kNone,
 // kBasic) or the pipelined next-panel subset, kTagU + 1 the pipelined batch
-// of the remaining subsets. The factored-matrix gather uses the first tag
-// past the last stage's window.
+// of the remaining subsets. The validation tail takes the first window past
+// the last stage's: the factored-matrix gather (+0), the gathered solution's
+// broadcast (+1) and the residual check's max-reduce (+2).
 constexpr int kTagPanelGather = 0;
 constexpr int kTagPanelBcast = 1;
 constexpr int kTagSwap = 2;
@@ -85,14 +85,10 @@ struct RankContext {
 
   /// First local row whose global index is >= g.
   std::size_t local_row_lower_bound(std::size_t g) const {
-    std::size_t lo = 0;
-    while (lo < lrows() && dist.global_row(prow, lo) < g) ++lo;
-    return lo;
+    return dist.first_local_row(prow, g);
   }
   std::size_t local_col_lower_bound(std::size_t g) const {
-    std::size_t lo = 0;
-    while (lo < lcols() && dist.global_col(pcol, lo) < g) ++lo;
-    return lo;
+    return dist.first_local_col(pcol, g);
   }
 
   /// Every rank of the grid, in rank order (the collectives' group).
@@ -707,18 +703,54 @@ DistResidual distributed_residual(RankContext<T>& ctx,
   acc = ctx.comm.allreduce(ctx.everyone(), std::move(acc), tag);
   DistResidual res;
   res.r.resize(n);
-  double r_inf = 0, a_inf = 0, x_inf = 0, b_inf = 0;
+  blas::ResidualMaxima m;
   for (std::size_t i = 0; i < n; ++i) {
     res.r[i] = b[i] - acc[i];
-    r_inf = std::max(r_inf, std::abs(acc[i] - b[i]));
-    a_inf = std::max(a_inf, acc[n + i]);
-    x_inf = std::max(x_inf, std::abs(x[i]));
-    b_inf = std::max(b_inf, std::abs(b[i]));
+    m.r_inf = std::max(m.r_inf, std::abs(acc[i] - b[i]));
+    m.a_inf = std::max(m.a_inf, acc[n + i]);
   }
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double denom = eps * (a_inf * x_inf + b_inf) * static_cast<double>(n);
-  res.scaled = denom > 0 ? r_inf / denom : r_inf;
+  res.scaled = blas::scale_residual<double>(m, x, b);
   return res;
+}
+
+/// Writes one rank's local share into the gathered matrix. The global
+/// columns of a local column block are contiguous, so each local row lands
+/// as nb-wide runs.
+template <class S>
+void scatter_share(const BlockCyclic& dist, int prow, int pcol,
+                   MatrixView<const S> share, Matrix<double>& full) {
+  const std::size_t nb = dist.nb();
+  for (std::size_t lr = 0; lr < share.rows(); ++lr) {
+    const S* src = share.row(lr);
+    double* dst = full.view().row(dist.global_row(prow, lr));
+    for (std::size_t lc = 0; lc < share.cols(); lc += nb) {
+      const std::size_t w = std::min(nb, share.cols() - lc);
+      std::copy(src + lc, src + lc + w, dst + dist.global_col(pcol, lc));
+    }
+  }
+}
+
+/// blas::hpl_residual of the gathered solution x, row-partitioned: every
+/// rank regenerates a contiguous range of rows of the ORIGINAL matrix and
+/// folds them into the check's two maxima, which are max-reduced to rank 0.
+/// A maximum is exact, so rank 0's value equals the sequential check's bit
+/// for bit; the other ranks return 0.
+double gathered_residual(RankContext<double>& ctx, const Payload& x,
+                         const std::vector<double>& b, std::uint64_t seed,
+                         int tag) {
+  const std::size_t n = ctx.dist.n();
+  const auto ranks = static_cast<std::size_t>(ctx.dist.grid().ranks());
+  const auto rank = static_cast<std::size_t>(ctx.comm.rank());
+  blas::ResidualMaxima m;
+  std::vector<double> row(n);
+  for (std::size_t i = n * rank / ranks; i < n * (rank + 1) / ranks; ++i) {
+    for (std::size_t j = 0; j < n; ++j) row[j] = util::hpl_entry(seed, i, j);
+    blas::residual_row<double>(row.data(), x, b[i], m);
+  }
+  const Payload max = ctx.comm.reduce(0, ctx.everyone(), {m.r_inf, m.a_inf},
+                                      tag, net::ReduceOp::kMax);
+  if (rank != 0) return 0;
+  return blas::scale_residual<double>({max[0], max[1]}, x, b);
 }
 
 /// The whole per-rank program: fill, factor, solve, (mixed: refine),
@@ -794,53 +826,62 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
     }
   }
 
-  // Gather the factored matrix to rank 0 for validation and solve.
+  // Gather the factored matrix to rank 0 for validation and solve. Each
+  // rank's share travels as one message, packed a local row at a time.
   const int gather_tag = static_cast<int>(dist.num_blocks()) * kTagStride;
-  Payload mine;
-  mine.reserve(ctx.lrows() * ctx.lcols());
-  for (std::size_t lr = 0; lr < ctx.lrows(); ++lr)
-    for (std::size_t lc = 0; lc < ctx.lcols(); ++lc)
-      mine.push_back(static_cast<double>(ctx.local(lr, lc)));
   if (comm.rank() != 0) {
+    Payload mine;
+    mine.reserve(ctx.lrows() * ctx.lcols());
+    for (std::size_t lr = 0; lr < ctx.lrows(); ++lr) {
+      const T* row = ctx.local.view().row(lr);
+      mine.insert(mine.end(), row, row + ctx.lcols());
+    }
     comm.send(0, gather_tag, std::move(mine));
-    return;
   }
-
-  Matrix<double> full(n, n);
-  auto scatter_into_full = [&](int prow, int pcol, const double* data) {
-    const std::size_t rows = dist.local_rows(prow);
-    const std::size_t cols = dist.local_cols(pcol);
-    for (std::size_t lr = 0; lr < rows; ++lr)
-      for (std::size_t lc = 0; lc < cols; ++lc)
-        full(dist.global_row(prow, lr), dist.global_col(pcol, lc)) =
-            data[lr * cols + lc];
-  };
-  scatter_into_full(ctx.prow, ctx.pcol, mine.data());
-  for (int r = 1; r < grid.ranks(); ++r) {
-    const Payload msg = comm.recv(r, gather_tag);
-    scatter_into_full(grid.prow_of(r), grid.pcol_of(r), msg.data());
+  Matrix<double> full;
+  std::vector<std::size_t> ipiv;
+  if (comm.rank() == 0) {
+    full = Matrix<double>(n, n);
+    scatter_share<T>(dist, ctx.prow, ctx.pcol, ctx.local.view(), full);
+    for (int r = 1; r < grid.ranks(); ++r) {
+      const Payload msg = comm.recv(r, gather_tag);
+      const int prow = grid.prow_of(r), pcol = grid.pcol_of(r);
+      scatter_share<double>(
+          dist, prow, pcol,
+          MatrixView<const double>(msg.data(), dist.local_rows(prow),
+                                   dist.local_cols(pcol), dist.local_cols(pcol)),
+          full);
+    }
+    ipiv.resize(n);
+    for (std::size_t i = 0; i < n && i < ipiv_all.size(); ++i)
+      ipiv[i] = static_cast<std::size_t>(ipiv_all[i]);
   }
 
   // Solve Ax = b on the gathered factors and check the residual against the
   // regenerated original matrix — the unrelaxed fp64 gate in both modes.
-  std::vector<std::size_t> ipiv(n);
-  for (std::size_t i = 0; i < n && i < ipiv_all.size(); ++i)
-    ipiv[i] = static_cast<std::size_t>(ipiv_all[i]);
-  Matrix<double> orig(n, n);
-  util::fill_hpl_matrix(orig.view(), seed);
   double residual = 0;
   double agreement = 0;
   if constexpr (std::is_same_v<T, double>) {
-    std::vector<double> x = b;
-    blas::lu_solve_vector<double>(full.view(), ipiv, x);
-    residual = blas::hpl_residual<double>(orig.view(), x, b);
+    // Rank 0 solves on the gathered factors and broadcasts the solution;
+    // every rank then checks its own row range of the original matrix.
+    Payload x;
+    if (comm.rank() == 0) {
+      x = b;
+      blas::lu_solve_vector<double>(full.view(), ipiv, x);
+    }
+    x = comm.bcast_auto(0, ctx.everyone(), std::move(x), gather_tag + 1, n);
+    residual = gathered_residual(ctx, x, b, seed, gather_tag + 2);
+    if (comm.rank() != 0) return;
     for (std::size_t i = 0; i < n; ++i)
       agreement = std::max(agreement, std::abs(x[i] - x_dist[i]));
   } else {
+    if (comm.rank() != 0) return;
     // Sequential twin: narrow the gathered factors back to fp32 (exact) and
     // run the shared-memory refinement against the same fp64 system. Its
     // solution agrees with the distributed one to refinement accuracy; the
     // gate is evaluated on the distributed x.
+    Matrix<double> orig(n, n);
+    util::fill_hpl_matrix(orig.view(), seed);
     MixedFactors factors;
     factors.lu = Matrix<float>(n, n);
     for (std::size_t r = 0; r < n; ++r)

@@ -128,13 +128,21 @@ struct DistributedHplOptions {
 
 struct DistributedHplResult {
   bool ok = false;
+  /// Scaled HPL residual of the solve on the gathered factors, bit-identical
+  /// to blas::hpl_residual<double> of the original matrix. Under kFp64 rank
+  /// 0 broadcasts that solution and the check runs row-partitioned: every
+  /// rank regenerates a contiguous range of rows of A and the two maxima
+  /// (||Ax - b||, ||A||) are max-reduced to rank 0 — a maximum is exact, so
+  /// the bits do not depend on the split. Under kMixed rank 0 evaluates it
+  /// sequentially on the distributed x.
   double residual = 0;
   /// Residual computed *distributed*: every rank regenerates its local
   /// entries of A, contributes partial row sums of A*x and |A|, and the
   /// norms are combined with a ring allreduce — no gathered matrix needed.
   double distributed_residual = 0;
-  /// Factored matrix gathered to rank 0 (L\U in place, rows swapped).
-  /// Under Precision::kMixed these are the fp32 factors widened to double
+  /// Factored matrix gathered to rank 0 (L\U in place, rows swapped): one
+  /// message per rank, unpacked in nb-wide column runs. Under
+  /// Precision::kMixed these are the fp32 factors widened to double
   /// (exact), so they compare bitwise against a sequential
   /// getrf_blocked<float> of the demoted matrix.
   util::Matrix<double> factored;
@@ -144,7 +152,8 @@ struct DistributedHplResult {
   /// (block forward/back substitution with row-reductions and broadcasts).
   std::vector<double> x;
   /// Max |x_distributed - x_gathered|: the distributed solve must agree with
-  /// solving on the gathered factors.
+  /// solving on the gathered factors (kFp64: the solution rank 0 computes
+  /// and broadcasts; kMixed: the sequential refinement twin's).
   double solve_agreement = 0;
   /// Per-rank communication counters (bytes, messages, blocked-wait time,
   /// mailbox high-water mark), indexed by rank.

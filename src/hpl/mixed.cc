@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "blas/getrf.h"
 #include "blas/lu_kernels.h"
@@ -23,27 +22,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// r = b - A x in fp64 and the scaled residual, with exactly the loop order
-/// of blas::hpl_residual<double> — the returned scalar IS the gate value.
+/// of blas::hpl_residual<double> and its scaling step — the returned scalar
+/// IS the gate value.
 double residual_vector(MatrixView<const double> a, std::span<const double> x,
                        std::span<const double> b, double a_inf,
                        std::vector<double>& r) {
   const std::size_t n = a.rows();
-  double r_inf = 0, x_inf = 0, b_inf = 0;
+  blas::ResidualMaxima m{.r_inf = 0, .a_inf = a_inf};
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0;
     const double* row = a.row(i);
     for (std::size_t j = 0; j < n; ++j) acc += row[j] * x[j];
     r[i] = b[i] - acc;
     const double ra = std::abs(acc - b[i]);
-    if (ra > r_inf) r_inf = ra;
-    const double xa = std::abs(x[i]);
-    if (xa > x_inf) x_inf = xa;
-    const double ba = std::abs(b[i]);
-    if (ba > b_inf) b_inf = ba;
+    if (ra > m.r_inf) m.r_inf = ra;
   }
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double denom = eps * (a_inf * x_inf + b_inf) * static_cast<double>(n);
-  return denom > 0 ? r_inf / denom : r_inf;
+  return blas::scale_residual<double>(m, x, b);
 }
 
 }  // namespace

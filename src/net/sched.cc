@@ -25,6 +25,18 @@
 #ifdef XPHI_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
 #endif
+// ASan keeps its own idea of the current stack; without the switch
+// annotations an exception unwinding a task stack reads as a stack overflow.
+#if defined(__SANITIZE_ADDRESS__)
+#define XPHI_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define XPHI_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef XPHI_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace xphi::net {
 
@@ -53,6 +65,12 @@ struct Sched::Task {
 #ifdef XPHI_TSAN_FIBERS
   void* fiber = nullptr;
 #endif
+#ifdef XPHI_ASAN_FIBERS
+  void* fake_stack = nullptr;
+  // Stack of the worker that last resumed this task (the one it returns to).
+  const void* worker_stack = nullptr;
+  std::size_t worker_stack_size = 0;
+#endif
   enum class State { kReady, kRunning, kParked, kDone };
   State state = State::kReady;
   Pending pending = Pending::kNone;
@@ -70,6 +88,9 @@ struct Sched::Worker {
   ucontext_t ctx{};
 #ifdef XPHI_TSAN_FIBERS
   void* fiber = nullptr;
+#endif
+#ifdef XPHI_ASAN_FIBERS
+  void* fake_stack = nullptr;
 #endif
   Task* current = nullptr;
   Sched::Impl* owner = nullptr;
@@ -162,7 +183,14 @@ struct Sched::Impl {
 #ifdef XPHI_TSAN_FIBERS
     __tsan_switch_to_fiber(t->fiber, 0);
 #endif
+#ifdef XPHI_ASAN_FIBERS
+    __sanitizer_start_switch_fiber(&w.fake_stack, t->ctx.uc_stack.ss_sp,
+                                   t->ctx.uc_stack.ss_size);
+#endif
     swapcontext(&w.ctx, &t->ctx);
+#ifdef XPHI_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(w.fake_stack, nullptr, nullptr);
+#endif
     w.current = nullptr;
   }
 
@@ -175,7 +203,17 @@ struct Sched::Impl {
 #ifdef XPHI_TSAN_FIBERS
     __tsan_switch_to_fiber(w->fiber, 0);
 #endif
+#ifdef XPHI_ASAN_FIBERS
+    // A finishing task never resumes: a null save slot frees its fake stack.
+    __sanitizer_start_switch_fiber(
+        t->pending == Pending::kFinish ? nullptr : &t->fake_stack,
+        t->worker_stack, t->worker_stack_size);
+#endif
     swapcontext(&t->ctx, &w->ctx);
+#ifdef XPHI_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(t->fake_stack, &t->worker_stack,
+                                    &t->worker_stack_size);
+#endif
   }
 
   // --- scheduling core (all under mu unless noted) ------------------------
@@ -303,6 +341,10 @@ void Sched::Impl::trampoline_entry(unsigned hi, unsigned lo) {
   Task* t = reinterpret_cast<Task*>(
       (static_cast<std::uintptr_t>(hi) << 32) |
       static_cast<std::uintptr_t>(lo));
+#ifdef XPHI_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &t->worker_stack,
+                                  &t->worker_stack_size);  // first entry
+#endif
   try {
     (*t->impl->body)(t->index);
   } catch (...) {

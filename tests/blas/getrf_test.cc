@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "blas/residual.h"
@@ -89,6 +91,43 @@ TEST(HplResidual, LargeForWrongSolution) {
   util::fill_hpl_matrix(a.view(), 1);
   std::vector<double> b(n, 1.0), x(n, 1e6);
   EXPECT_GT(hpl_residual<double>(a.view(), x, b), kHplResidualThreshold);
+}
+
+TEST(HplResidual, RowRangeCompositionIsBitIdentical) {
+  // Folding any split of the rows into per-range maxima, combining them with
+  // max and scaling once must reproduce the sequential check bit for bit —
+  // the contract the distributed HPL's row-partitioned check relies on.
+  const std::size_t n = 67;
+  Matrix<double> a(n, n);
+  util::fill_hpl_matrix(a.view(), 3);
+  std::vector<double> x(n), b(n);
+  util::Rng rng(11);
+  for (auto& v : x) v = rng.next_centered();
+  for (auto& v : b) v = rng.next_centered();
+  const double whole = hpl_residual<double>(a.view(), x, b);
+  EXPECT_EQ(residual_maxima<double>(a.view(), x, b).a_inf,
+            util::norm_inf<double>(a.view()));
+  util::Rng cuts(13);
+  for (std::size_t ranges = 1; ranges <= 5; ++ranges) {
+    for (int trial = 0; trial < 8; ++trial) {
+      // ranges - 1 sorted cut points in [0, n]; empty ranges are allowed.
+      std::vector<std::size_t> bounds{0, n};
+      for (std::size_t c = 1; c < ranges; ++c)
+        bounds.push_back(static_cast<std::size_t>(cuts.next_u64() % (n + 1)));
+      std::sort(bounds.begin(), bounds.end());
+      ResidualMaxima m;
+      for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
+        const std::size_t r0 = bounds[r], r1 = bounds[r + 1];
+        const ResidualMaxima part = residual_maxima<double>(
+            a.view().block(r0, 0, r1 - r0, n), x,
+            std::span<const double>(b).subspan(r0, r1 - r0));
+        m.r_inf = std::max(m.r_inf, part.r_inf);
+        m.a_inf = std::max(m.a_inf, part.a_inf);
+      }
+      EXPECT_EQ(scale_residual<double>(m, x, b), whole)
+          << "ranges=" << ranges << " trial=" << trial;
+    }
+  }
 }
 
 // Property sweep across sizes and block widths.

@@ -95,5 +95,36 @@ TEST(BlockCyclic, SingleProcessOwnsEverything) {
   for (std::size_t g = 0; g < 50; ++g) EXPECT_EQ(d.local_row(g), g);
 }
 
+TEST(BlockCyclic, FirstLocalIndexMatchesLinearScan) {
+  // The closed-form lower bound must equal a scan over the local indices,
+  // for every process position, including g at and past n and ragged n.
+  auto scan = [](std::size_t extent, auto global_of, std::size_t g) {
+    std::size_t lo = 0;
+    while (lo < extent && global_of(lo) < g) ++lo;
+    return lo;
+  };
+  for (std::size_t n : {1u, 7u, 8u, 40u, 41u, 47u, 63u, 64u, 97u}) {
+    for (int p = 1; p <= 4; ++p) {
+      for (int q = 1; q <= 4; ++q) {
+        const BlockCyclic d(n, 8, Grid{p, q});
+        for (std::size_t g = 0; g <= n + 17; ++g) {
+          for (int prow = 0; prow < p; ++prow)
+            EXPECT_EQ(d.first_local_row(prow, g),
+                      scan(d.local_rows(prow),
+                           [&](std::size_t l) { return d.global_row(prow, l); },
+                           g))
+                << "n=" << n << " p=" << p << " prow=" << prow << " g=" << g;
+          for (int pcol = 0; pcol < q; ++pcol)
+            EXPECT_EQ(d.first_local_col(pcol, g),
+                      scan(d.local_cols(pcol),
+                           [&](std::size_t l) { return d.global_col(pcol, l); },
+                           g))
+                << "n=" << n << " q=" << q << " pcol=" << pcol << " g=" << g;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xphi::hpl

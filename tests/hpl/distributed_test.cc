@@ -103,6 +103,31 @@ TEST(DistributedHpl, DistributedSolutionSolvesTheSystem) {
   EXPECT_LT(resid, blas::kHplResidualThreshold);
 }
 
+TEST(DistributedHpl, GatheredResidualIsBitIdentical) {
+  // The gathered check runs row-partitioned across the ranks and combines
+  // the per-range maxima with a max-reduce; it must equal the sequential
+  // check of the gathered solve bit for bit.
+  const std::size_t nb = 8;
+  for (const Grid grid :
+       {Grid{1, 1}, Grid{2, 2}, Grid{3, 2}, Grid{1, 4}, Grid{4, 1}}) {
+    for (const std::size_t n : {std::size_t{1}, nb - 1, 4 * nb, 5 * nb + 3}) {
+      const auto res = run_distributed_hpl(n, nb, grid, 19);
+      const auto label = ::testing::Message()
+                         << "n=" << n << " grid=" << grid.p << "x" << grid.q;
+      ASSERT_TRUE(res.ok) << label;
+      util::Matrix<double> a(n, n);
+      util::fill_hpl_matrix(a.view(), 19);
+      std::vector<double> b(n);
+      util::Rng rng(19 ^ 0xb0b);
+      for (auto& v : b) v = rng.next_centered();
+      std::vector<double> x = b;
+      blas::lu_solve_vector<double>(res.factored.view(), res.ipiv, x);
+      EXPECT_EQ(res.residual, blas::hpl_residual<double>(a.view(), x, b))
+          << label;
+    }
+  }
+}
+
 TEST(DistributedHpl, HybridOffloadEngineMatchesPlainUpdate) {
   // Running every rank's trailing update through the functional offload
   // engine (queues + card threads + stealing) must not change the numerics.
@@ -171,14 +196,16 @@ TEST(DistributedHpl, SchemeTrafficIsPinned) {
   // Every scheme issues a fixed message pattern: the summed per-rank send
   // counters must not move when the stage code is refactored. Only kNone's
   // blocking panel broadcast (tree or ring) differs from the look-ahead
-  // schemes' flat fan-out, and kPipelined adds its split U sends.
+  // schemes' flat fan-out, and kPipelined adds its split U sends. The
+  // validation tail is scheme-blind: the factor gather, the gathered
+  // solution's broadcast and the residual check's max-reduce.
   struct Expect { std::size_t messages, bytes; };
   struct Case { std::size_t n, nb; Grid grid; Expect none, basic, pipelined; };
   for (const Case& c :
-       {Case{64, 8, Grid{2, 2}, {244, 139456}, {244, 139456}, {249, 139456}},
-        Case{70, 12, Grid{2, 2}, {244, 168880}, {244, 168880}, {247, 168880}},
-        Case{84, 16, Grid{3, 2}, {421, 357472}, {411, 357392}, {417, 357392}},
-        Case{48, 8, Grid{1, 3}, {74, 40704}, {74, 40704}, {74, 40704}}}) {
+       {Case{64, 8, Grid{2, 2}, {250, 141040}, {250, 141040}, {255, 141040}},
+        Case{70, 12, Grid{2, 2}, {250, 170608}, {250, 170608}, {253, 170608}},
+        Case{84, 16, Grid{3, 2}, {431, 360912}, {421, 360832}, {427, 360832}},
+        Case{48, 8, Grid{1, 3}, {78, 41504}, {78, 41504}, {78, 41504}}}) {
     for (const auto& [scheme, want] :
          {std::pair{Lookahead::kNone, c.none},
           std::pair{Lookahead::kBasic, c.basic},
