@@ -23,15 +23,6 @@
 
 namespace {
 
-const char* scheme_name(xphi::hpl::Lookahead s) {
-  switch (s) {
-    case xphi::hpl::Lookahead::kNone: return "none";
-    case xphi::hpl::Lookahead::kBasic: return "basic";
-    case xphi::hpl::Lookahead::kPipelined: return "pipelined";
-  }
-  return "?";
-}
-
 /// LU factor + solve flops for order n (2/3 n^3 + lower-order terms).
 double hpl_flops(std::size_t n) {
   const double nd = static_cast<double>(n);
@@ -90,7 +81,7 @@ int main() {
     const trace::Timeline& tl = timelines[i];
     if (!res.ok) {
       std::fprintf(stderr, "FAIL: %s residual %.3f over threshold\n",
-                   scheme_name(scheme), res.residual);
+                   core::lookahead_name(scheme), res.residual);
       return 1;
     }
     const double overlap = trace::cross_lane_overlap(
@@ -103,10 +94,10 @@ int main() {
     }
     const double gflops = hpl_flops(n) / best[i] / 1e9;
     std::printf("%-10s %9.4f %8.2f %11.4f %10.0f %12.0f %9.4f\n",
-                scheme_name(scheme), best[i], gflops, overlap, messages, bytes,
-                wait);
+                core::lookahead_name(scheme), best[i], gflops, overlap,
+                messages, bytes, wait);
     records.push_back(bench::JsonRecord{}
-                          .str("scheme", scheme_name(scheme))
+                          .str("scheme", core::lookahead_name(scheme))
                           .num("n", static_cast<double>(n))
                           .num("nb", static_cast<double>(nb))
                           .num("grid_p", grid.p)

@@ -172,10 +172,6 @@ std::size_t weak_n(int grid) {
   return static_cast<std::size_t>(84000) * static_cast<std::size_t>(grid);
 }
 
-const char* scheme_name(core::Lookahead s) {
-  return s == core::Lookahead::kBasic ? "basic" : "pipelined";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,7 +230,7 @@ int main(int argc, char** argv) {
       model_table.add_row(
           {util::Table::fmt(g) + "x" + util::Table::fmt(g),
            util::Table::fmt(g * g), util::Table::fmt(row.n),
-           scheme_name(scheme),
+           core::lookahead_name(scheme),
            util::Table::fmt(row.result.gflops / 1000.0, 2),
            util::Table::fmt(row.result.efficiency * 100, 1),
            util::Table::fmt(row.result.exposed_fraction * 100, 1)});
@@ -243,7 +239,7 @@ int main(int argc, char** argv) {
           .str("grid", std::to_string(g) + "x" + std::to_string(g))
           .num("nodes", g * g)
           .num("n", static_cast<double>(row.n))
-          .str("scheme", scheme_name(scheme))
+          .str("scheme", core::lookahead_name(scheme))
           .num("gflops", row.result.gflops)
           .num("efficiency", row.result.efficiency)
           .num("exposed_fraction", row.result.exposed_fraction)

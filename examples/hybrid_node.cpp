@@ -25,10 +25,7 @@ int main() {
       cfg.cards = cards;
       cfg.scheme = scheme;
       const auto r = core::simulate_hybrid_hpl(cfg);
-      const char* name = scheme == core::Lookahead::kNone      ? "none"
-                         : scheme == core::Lookahead::kBasic   ? "basic"
-                                                               : "pipelined";
-      t.add_row({util::Table::fmt(cards), name,
+      t.add_row({util::Table::fmt(cards), core::lookahead_name(scheme),
                  util::Table::fmt(r.gflops / 1000.0, 2),
                  util::Table::fmt(r.efficiency * 100, 1),
                  util::Table::fmt(r.exposed_fraction * 100, 1)});

@@ -41,10 +41,7 @@ int main(int argc, char** argv) {
   if (!check.ok) return 1;
 
   std::printf("%zu combination(s), scheme=%s, %zu GiB/node\n\n",
-              cfg.combinations(),
-              cfg.scheme == core::Lookahead::kNone      ? "none"
-              : cfg.scheme == core::Lookahead::kBasic   ? "basic"
-                                                        : "pipelined",
+              cfg.combinations(), core::lookahead_name(cfg.scheme),
               cfg.memory_gib);
   util::Table t({"N", "NB", "P", "Q", "cards", "time s", "TFLOPS", "eff %",
                  "fits mem"});

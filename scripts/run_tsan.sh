@@ -4,15 +4,15 @@
 # Covers the dynamic parallel_for scheduler (thread pool), parallel packing
 # and the pack cache, the pooled tiled GEMM, the panel critical-path kernels
 # (pool-parallel iamax, fused LASWP, blocked TRSM), the DAG LU executor, the
-# hybrid driver's asynchronous look-ahead panel beside the offload engine, the
-# net::World messaging layer (the cooperative coroutine scheduler, via the
-# TSan fiber API, plus nonblocking requests, both collective families and
-# the engine-conformance suite), the weak-scaling fabric smoke run, the
-# distributed HPL look-ahead schedules built on it, the fault-injection
-# chaos harness (retry/NACK/absorption races in the offload reliability
-# protocol), and the solve server (dispatcher vs concurrent workers, the
-# sharded LU cache under mixed traffic) — the code paths where a scheduling
-# bug would be a data race rather than a wrong number.
+# offload engine's card threads, the net::World messaging layer (the
+# cooperative coroutine scheduler, via the TSan fiber API, plus nonblocking
+# requests, both collective families and the engine-conformance suite), the
+# weak-scaling fabric smoke run, the distributed HPL look-ahead schedules
+# built on it, the fault-injection chaos harness (retry/NACK/absorption
+# races in the offload reliability protocol), and the solve server
+# (dispatcher vs concurrent workers, the sharded LU cache under mixed
+# traffic) — the code paths where a scheduling bug would be a data race
+# rather than a wrong number.
 # CI-runnable: exits non-zero on any race report or test failure.
 set -euo pipefail
 
@@ -32,15 +32,18 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'
 "$BUILD_DIR/tests/test_lu" --gtest_filter='FunctionalDagLu*:DagLuFactor*'
-# Hybrid driver: the std::async panel factorization runs beside the offload
-# engine's card threads updating other columns of the same matrix.
-"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*:HybridFunctional*'
+# Offload engine: card threads, request/response queues and two-ended
+# stealing over one output matrix.
+"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*'
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
 # Engine conformance: seeded random traffic, both collective families and
 # the 1024-rank bounded-pool run, all on coroutine stacks (the build maps
 # them through the TSan fiber API; a missed fiber switch reports here).
 "$BUILD_DIR/tests/test_net_conformance"
-"$BUILD_DIR/tests/test_hpl" --gtest_filter='DistributedHpl.Lookahead*:DistributedHpl.Pipelined*:DistributedHpl.CommStats*:DistributedHpl.DistributedResidual*'
+# The Lookahead* and HybridFunctional* cases include the single-rank
+# look-ahead over the offload engine: a rank's stage steps interleaved with
+# its card threads.
+"$BUILD_DIR/tests/test_hpl" --gtest_filter='HybridFunctional*:DistributedHpl.Lookahead*:DistributedHpl.Pipelined*:DistributedHpl.CommStats*:DistributedHpl.DistributedResidual*'
 # Mixed precision: fp32 DAG factorization, the distributed refinement loop
 # on coroutine ranks, and the chaos cases (net faults + dead offload card
 # mid-factor) — refinement-trace determinism under real thread interleaving.

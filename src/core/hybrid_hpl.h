@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/lookahead.h"
 #include "core/offload_dgemm.h"
 #include "net/cost_model.h"
 #include "pci/link.h"
@@ -29,8 +30,6 @@
 #include "sim/lu_model.h"
 
 namespace xphi::core {
-
-enum class Lookahead { kNone, kBasic, kPipelined };
 
 struct HybridHplConfig {
   std::size_t n = 84000;

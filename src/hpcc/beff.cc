@@ -108,7 +108,6 @@ BeffResult run_beff(const BeffOptions& options) {
 
   World world(ranks);
   world.set_recv_timeout(120);
-  if (options.net_workers != 0) world.set_workers(options.net_workers);
 
   // Written by rank 0 only (timings) / one slot per rank (error counts);
   // read after run() returns.

@@ -46,7 +46,6 @@ struct BeffOptions {
   /// Seeded random pairings averaged for the random pattern.
   int random_pairings = 4;
   std::uint64_t seed = 1;
-  int net_workers = 0;
   /// Also time tree vs segmented-ring broadcasts per ladder size (the
   /// dispatch-knob seeding table).
   bool probe_collectives = true;

@@ -54,14 +54,12 @@ GupsResult run_gups(int ranks, std::uint64_t seed, const GupsOptions& options) {
 
   World world(ranks);
   world.set_recv_timeout(options.recv_timeout_seconds);
-  world.set_mailbox_soft_cap(options.mailbox_soft_cap);
   if (options.injector != nullptr)
     world.set_fault_injector(options.injector);
   if (options.net_crossover_doubles != 0)
     world.set_collective_crossover_doubles(options.net_crossover_doubles);
   if (options.net_ring_segment != 0)
     world.set_ring_segment_doubles(options.net_ring_segment);
-  if (options.net_workers != 0) world.set_workers(options.net_workers);
 
   std::vector<std::size_t> rank_errors(static_cast<std::size_t>(ranks), 0);
   std::vector<std::uint64_t> rank_fnv(static_cast<std::size_t>(ranks), 0);

@@ -62,9 +62,7 @@ struct GupsOptions {
 
   std::size_t net_crossover_doubles = 0;  // 0 = World default
   std::size_t net_ring_segment = 0;
-  int net_workers = 0;
   double recv_timeout_seconds = 120;
-  std::size_t mailbox_soft_cap = 0;
   fault::Injector* injector = nullptr;  // null = clean
 };
 

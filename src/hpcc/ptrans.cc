@@ -73,7 +73,6 @@ PtransResult run_ptrans(std::size_t n, Grid grid, std::uint64_t seed,
     world.set_collective_crossover_doubles(options.net_crossover_doubles);
   if (options.net_ring_segment != 0)
     world.set_ring_segment_doubles(options.net_ring_segment);
-  if (options.net_workers != 0) world.set_workers(options.net_workers);
 
   // Written by one rank each (rank 0 for the scalars); read after run().
   std::vector<double> rank_residual(static_cast<std::size_t>(ranks), 0.0);

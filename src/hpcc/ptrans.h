@@ -56,8 +56,6 @@ struct PtransOptions {
   /// defaults; tune knobs "net_crossover_doubles" / "net_ring_segment").
   std::size_t net_crossover_doubles = 0;
   std::size_t net_ring_segment = 0;
-  /// Worker OS threads for the World scheduler (0 = automatic).
-  int net_workers = 0;
   /// Receive timeout handed to net::World (seconds; 0 = wait forever).
   double recv_timeout_seconds = 120;
   /// Deterministic fault injection on message delivery (null = clean).

@@ -105,15 +105,9 @@ ParseResult parse_run_config(const std::string& text) {
       }
       saw_cards = true;
     } else if (key == "scheme") {
-      const std::string& v = values[0];
-      if (v == "none")
-        cfg.scheme = core::Lookahead::kNone;
-      else if (v == "basic")
-        cfg.scheme = core::Lookahead::kBasic;
-      else if (v == "pipelined")
-        cfg.scheme = core::Lookahead::kPipelined;
-      else
-        return fail("bad scheme '" + v + "'");
+      const auto scheme = core::parse_lookahead(values[0]);
+      if (!scheme) return fail("bad scheme '" + values[0] + "'");
+      cfg.scheme = *scheme;
     } else if (key == "precision") {
       const auto p = parse_precision(values[0]);
       if (!p) return fail("bad precision '" + values[0] + "' (want fp64|mixed)");

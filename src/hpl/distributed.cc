@@ -917,13 +917,11 @@ DistributedHplResult run_distributed_hpl(std::size_t n, std::size_t nb,
   BlockCyclic dist(n, nb, grid);
   net::World world(grid.ranks());
   world.set_recv_timeout(options.recv_timeout_seconds);
-  world.set_mailbox_soft_cap(options.mailbox_soft_cap);
   world.set_fault_injector(options.injector);
   if (options.net_crossover_doubles != 0)
     world.set_collective_crossover_doubles(options.net_crossover_doubles);
   if (options.net_ring_segment != 0)
     world.set_ring_segment_doubles(options.net_ring_segment);
-  if (options.net_workers != 0) world.set_workers(options.net_workers);
 
   // Per-rank span capture slots (each written only by its own rank thread;
   // merged into options.timeline after the world joins).

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "blas/lu_kernels.h"
+#include "core/lookahead.h"
 #include "core/offload_functional.h"
 #include "hpl/block_cyclic.h"
 #include "hpl/precision.h"
@@ -59,9 +60,9 @@ class Timeline;
 
 namespace xphi::hpl {
 
-/// Look-ahead depth of the factorization schedule — the functional twin of
-/// core::Lookahead (the simulator's cost model for the same three schemes).
-enum class Lookahead { kNone, kBasic, kPipelined };
+/// Look-ahead scheme of the factorization schedule: the same enum the
+/// simulator's cost model (core/hybrid_hpl.h) uses for the three schemes.
+using Lookahead = core::Lookahead;
 
 struct DistributedHplOptions {
   /// When true, each rank's local trailing update runs through the
@@ -72,8 +73,11 @@ struct DistributedHplOptions {
   core::FunctionalOffloadConfig offload{};
 
   Lookahead lookahead = Lookahead::kNone;
-  /// Column subsets the pipelined scheme streams DTRSM/U-broadcast over
-  /// (clamped to [1, 16]; subset 0 is always the next panel's columns).
+  /// Column subsets of the pipelined scheme's trailing update (clamped to
+  /// [1, 16]; subset 0 is always the next panel's columns). The U solve and
+  /// broadcast travel in two pieces whatever the value: the next-panel
+  /// block, then one batch for the rest. The value only splits the
+  /// post-batch trailing update into more GEMM calls, which changes no bit.
   int pipeline_subsets = 4;
 
   /// Critical-path kernel knobs of the root-rank panel factorization, the
@@ -91,9 +95,6 @@ struct DistributedHplOptions {
   /// A mismatched (src, tag) then surfaces as a diagnostic instead of a
   /// hung test.
   double recv_timeout_seconds = 120;
-  /// Mailbox soft cap handed to net::World (0 = off): logs when a rank's
-  /// queue of undelivered messages exceeds it.
-  std::size_t mailbox_soft_cap = 0;
 
   /// Size-adaptive collective dispatch handed to net::World (0 = World
   /// defaults; tune knobs "net_crossover_doubles" / "net_ring_segment",
@@ -102,10 +103,6 @@ struct DistributedHplOptions {
   /// same bytes, so the choice is bitwise-invisible.
   std::size_t net_crossover_doubles = 0;
   std::size_t net_ring_segment = 0;
-
-  /// Worker OS threads for the World's cooperative rank scheduler
-  /// (0 = min(ranks, hardware_concurrency)).
-  int net_workers = 0;
 
   /// Deterministic fault injection handed to net::World (per-message
   /// delay/drop, scripted slow/dead ranks; see World::set_fault_injector).

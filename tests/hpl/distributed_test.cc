@@ -333,6 +333,45 @@ TEST(DistributedHpl, LookaheadWithOffloadEngine) {
   EXPECT_LT(res.solve_agreement, 1e-10);
 }
 
+TEST(DistributedHpl, LookaheadSingleRankOffloadSchemesAgree) {
+  // The single-node hybrid HPL is the 1x1 grid of the distributed driver
+  // with the offload engine doing every trailing update (card threads,
+  // request/response queues, two-ended stealing). The three schemes only
+  // reorder its work, so kBasic and kPipelined must reproduce kNone's bits.
+  struct Shape { std::size_t n, nb, tile; };
+  for (const Shape& sh : {Shape{128, 16, 0},
+                          Shape{150, 32, 0},  // ragged last panel
+                          Shape{200, 40, 40}}) {
+    for (const int cards : {1, 2}) {
+      const auto run = [&](Lookahead scheme) {
+        DistributedHplOptions opt;
+        opt.lookahead = scheme;
+        opt.use_offload_engine = true;
+        opt.offload.cards = cards;
+        opt.offload.host_steals = cards == 2;
+        if (sh.tile != 0) opt.offload.knobs.mt = opt.offload.knobs.nt = sh.tile;
+        return run_distributed_hpl(sh.n, sh.nb, Grid{1, 1}, 9, opt);
+      };
+      const auto none = run(Lookahead::kNone);
+      ASSERT_TRUE(none.ok) << "n=" << sh.n << " cards=" << cards;
+      for (auto scheme : {Lookahead::kBasic, Lookahead::kPipelined}) {
+        const auto res = run(scheme);
+        const auto label = ::testing::Message()
+                           << "n=" << sh.n << " nb=" << sh.nb
+                           << " cards=" << cards
+                           << " scheme=" << lookahead_name(scheme);
+        ASSERT_TRUE(res.ok) << label;
+        EXPECT_EQ(res.ipiv, none.ipiv) << label;
+        EXPECT_EQ(res.residual, none.residual) << label;
+        EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(),
+                                             none.factored.view()),
+                  0.0)
+            << label;
+      }
+    }
+  }
+}
+
 // Property sweep over grid shapes and block sizes.
 class DistributedSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};

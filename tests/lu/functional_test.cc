@@ -74,6 +74,11 @@ TEST(FunctionalDagLu, PassesHplResidualFourWorkers) {
   const auto res = run_functional_dag_lu(150, 32, 4);
   EXPECT_TRUE(res.ok);
   EXPECT_LT(res.residual, blas::kHplResidualThreshold);
+  // The factor and its panel tasks are timed, and each stage's packed panel
+  // is shared through the pack cache by that stage's update tasks.
+  EXPECT_GT(res.factor_seconds, 0.0);
+  EXPECT_GT(res.panel_seconds, 0.0);
+  EXPECT_GE(res.pack.pack_hits + res.pack.pack_misses, 1u);
 }
 
 TEST(FunctionalDagLu, RaggedPanelWidth) {
