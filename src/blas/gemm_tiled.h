@@ -1,24 +1,25 @@
 // Tiled GEMM over the Knights Corner packed format (paper Section III-A2),
 // dispatched through the runtime micro-kernel registry.
 //
-// The micro-kernel mirrors the structure of Basic Kernel 2: it accumulates a
-// (tile_rows x nr) block of C in a local array — the stand-in for the 30
-// accumulator vector registers — streaming one column of the packed `a` tile
-// and one row of the packed `b` tile per k-iteration. On the host this
-// compiles to ordinary auto-vectorized code; the cycle-accurate behaviour of
-// the real kernel lives in sim/pipeline.h. What this functional version
-// shares with the real one is the data layout, the loop structure, and the
-// numerics (verified against gemm_ref).
+// Every C tile runs a registered micro-kernel (blas/microkernel/registry.h):
+// the same register-blocked loop nest as Basic Kernel 2 — the Mr x Nr
+// accumulator block stands in for the 30 accumulator vector registers —
+// streaming one column of the packed `a` tile and one row of the packed `b`
+// tile per k-iteration, written once on vector-extension types and compiled
+// per ISA tier (kernels_inl.h). The cycle-accurate behaviour of the real
+// kernel lives in sim/pipeline.h; what this functional version shares with
+// it is the data layout, the loop structure, and the numerics (verified
+// against gemm_ref).
 //
 // The kernel shape is a runtime decision: mk::select_kernel picks the
 // registry's M_r x N_r shape for the widest ISA tier the host supports (the
 // measured policy in blas/microkernel/registry.h), gemm_tiled packs operands
 // at that shape's tile geometry, and interior tiles run the shape's
 // branch-free full-tile path while true edge tiles take its masked store —
-// the paper's "edge
-// waste" — so interior tiles never pay for edges. Every registered shape
-// and ISA variant accumulates each C element over k in the same ascending
-// order (kernels_inl.h), so dispatch changes speed, never numerics.
+// the paper's "edge waste" — so interior tiles never pay for edges. Every
+// registered shape and ISA variant accumulates each C element over k in the
+// same ascending order (kernels_inl.h), so dispatch changes speed, never
+// numerics.
 //
 // On top of the k-chunked outer-product pipeline, GemmOptions adds the
 // classic mc/nc cache blocking: C advances in (mc x nc) panels so the
@@ -31,6 +32,8 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
+#include <type_traits>
 
 #include "blas/microkernel/registry.h"
 #include "blas/pack.h"
@@ -38,68 +41,6 @@
 #include "util/thread_pool.h"
 
 namespace xphi::blas {
-
-// Generic inline instantiation of the micro-kernel generator templates —
-// the fallback for element types without registry entries, and the layer
-// the unit tests pin directly. Registered types (double/float) normally
-// dispatch to per-ISA compiled copies of these same templates; this
-// namespace and those TUs share one source of truth (kernels_inl.h).
-namespace ukr {
-#include "blas/microkernel/kernels_inl.h"
-}  // namespace ukr
-
-/// Full-tile fast path: C is exactly kTr x kTc, no masking anywhere. kRb is
-/// the register sub-block height (the micro shape's M_r).
-template <class T, std::size_t kTr, std::size_t kTc, std::size_t kRb>
-void micro_kernel_full(const T* a_tile, const T* b_tile, std::size_t k,
-                       T alpha, T beta, T* c, std::size_t ldc) {
-  ukr::ukr_full<T, kRb, kTc, kTr>(a_tile, b_tile, k, alpha, beta, c, ldc);
-}
-
-/// Masked path for edge tiles: writes only the live rows x cols corner.
-template <class T, std::size_t kTr = kTileRows, std::size_t kTc = kTileCols>
-void micro_kernel_masked(const T* a_tile, const T* b_tile, std::size_t k,
-                         T alpha, T beta, T* c, std::size_t ldc,
-                         std::size_t rows, std::size_t cols) {
-  ukr::ukr_masked<T, kTr, kTc>(a_tile, b_tile, k, alpha, beta, c, ldc, rows,
-                               cols);
-}
-
-/// C(rows x cols) = alpha * (a_tile * b_tile) + beta_or_accumulate.
-/// a_tile: tile_rows x k column-major; b_tile: k x tile_cols row-major.
-/// Dispatches to the full-tile fast path when the whole kTr x kTc block is
-/// live; edge tiles mask the zero padding on store-back.
-template <class T, std::size_t kTr = kTileRows, std::size_t kTc = kTileCols>
-void micro_kernel(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
-                  T beta, T* c, std::size_t ldc, std::size_t rows,
-                  std::size_t cols) {
-  if (rows == kTr && cols == kTc) {
-    constexpr std::size_t kRb = kTr % kMicroRows == 0 ? kMicroRows : kTr;
-    micro_kernel_full<T, kTr, kTc, kRb>(a_tile, b_tile, k, alpha, beta, c,
-                                        ldc);
-  } else {
-    micro_kernel_masked<T, kTr, kTc>(a_tile, b_tile, k, alpha, beta, c, ldc,
-                                     rows, cols);
-  }
-}
-
-/// Runtime-geometry scalar fallback for pre-packed operands whose tile
-/// dimensions match no compile-time template and no registry shape. Same
-/// per-element ascending-k accumulation as every other path.
-template <class T>
-void micro_kernel_rt(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
-                     T beta, T* c, std::size_t ldc, std::size_t tile_rows,
-                     std::size_t tile_cols, std::size_t rows,
-                     std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c2 = 0; c2 < cols; ++c2) {
-      T acc{};
-      for (std::size_t j = 0; j < k; ++j)
-        acc += a_tile[j * tile_rows + r] * b_tile[j * tile_cols + c2];
-      c[r * ldc + c2] = alpha * acc + beta * c[r * ldc + c2];
-    }
-  }
-}
 
 /// Performance knobs of the tiled GEMM. Every field is bitwise-neutral
 /// except chunk_k (each k-chunk is a separately rounded rank-kc update);
@@ -123,51 +64,31 @@ struct GemmOptions {
 
 namespace detail {
 
-/// A resolved micro-kernel plus its pack geometry; callable with the
-/// (tile pointers, k, rows, cols) of one C tile. Falls back to the inline
-/// template kernels (default geometry) or the runtime-geometry scalar
-/// kernel when the registry has nothing for T / for the layout.
+/// A resolved registry micro-kernel (its shape fixes the pack geometry);
+/// callable with the (tile pointers, k, rows, cols) of one C tile. Only the
+/// registry's element types have kernels.
 template <class T>
 struct MicroDispatch {
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, float>,
+                "the micro-kernel registry instantiates double and float");
   mk::Selection<T> sel;
-  std::size_t tile_rows = kTileRows;
-  std::size_t tile_cols = kTileCols;
 
   void operator()(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
                   T beta, T* c, std::size_t ldc, std::size_t rows,
                   std::size_t cols) const {
-    if (sel) {
-      if (rows == tile_rows && cols == tile_cols) {
-        sel.fns.full(a_tile, b_tile, k, alpha, beta, c, ldc);
-      } else {
-        sel.fns.masked(a_tile, b_tile, k, alpha, beta, c, ldc, rows, cols);
-      }
-    } else if (tile_rows == kTileRows && tile_cols == kTileCols) {
-      micro_kernel<T>(a_tile, b_tile, k, alpha, beta, c, ldc, rows, cols);
+    if (rows == sel.tile_rows() && cols == sel.nr()) {
+      sel.fns.full(a_tile, b_tile, k, alpha, beta, c, ldc);
     } else {
-      micro_kernel_rt<T>(a_tile, b_tile, k, alpha, beta, c, ldc, tile_rows,
-                         tile_cols, rows, cols);
+      sel.fns.masked(a_tile, b_tile, k, alpha, beta, c, ldc, rows, cols);
     }
   }
 };
 
 template <class T>
 MicroDispatch<T> resolve_dispatch(int kernel, const char* kernel_spec) {
-  MicroDispatch<T> d;
-  if (kernel_spec != nullptr) {
-    if (auto s = mk::select_kernel_spec<T>(kernel_spec)) {
-      d.sel = *s;
-    } else {
-      d.sel = mk::select_kernel<T>(kernel);
-    }
-  } else {
-    d.sel = mk::select_kernel<T>(kernel);
-  }
-  if (d.sel) {
-    d.tile_rows = d.sel.tile_rows();
-    d.tile_cols = d.sel.nr();
-  }
-  return d;
+  if (kernel_spec != nullptr)
+    if (auto s = mk::select_kernel_spec<T>(kernel_spec)) return {*s};
+  return {mk::select_kernel<T>(kernel)};
 }
 
 /// The k-chunked outer-product pipeline over one C block (paper Section
@@ -189,8 +110,8 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
   PackedA<T> pa[2];
   PackedB<T> pb[2];
   const std::size_t kc0 = std::min(chunk_k, big_k);
-  pa[0].pack(a.block(0, 0, a.rows(), kc0), micro.tile_rows, pool);
-  pb[0].pack(b.block(0, 0, kc0, b.cols()), micro.tile_cols, pool);
+  pa[0].pack(a.block(0, 0, a.rows(), kc0), micro.sel.tile_rows(), pool);
+  pb[0].pack(b.block(0, 0, kc0, b.cols()), micro.sel.nr(), pool);
   std::size_t cur = 0;
   for (std::size_t k0 = 0; k0 < big_k; k0 += chunk_k) {
     const std::size_t next_k0 = k0 + chunk_k;
@@ -205,9 +126,9 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
     if (has_next) {
       const std::size_t kc = std::min(chunk_k, big_k - next_k0);
       a_tiles = pa[nxt].prepare(a.block(0, next_k0, a.rows(), kc),
-                                micro.tile_rows);
+                                micro.sel.tile_rows());
       b_tiles = pb[nxt].prepare(b.block(next_k0, 0, kc, b.cols()),
-                                micro.tile_cols);
+                                micro.sel.nr());
     }
     auto fused = [&](std::size_t task) {
       if (task < op_tasks) {
@@ -241,17 +162,19 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
 /// C(MxN) = alpha * Ai * Bi + beta * C.
 /// The pack layout is the caller's, so dispatch runs the registered shape
 /// with that layout (mk::select_for_tile; a `kernel` pin or the env override
-/// is honored when compatible); operands packed at a geometry no registered
-/// shape uses fall back to the template/scalar kernels. Pack at
+/// is honored when compatible). Operands packed at a geometry no registered
+/// shape uses are rejected with std::invalid_argument. Pack at
 /// mk::select_kernel<T>(kernel)'s tile_rows()/nr() to run that kernel.
 template <class T>
 void outer_product_packed(T alpha, const PackedA<T>& a, const PackedB<T>& b,
                           T beta, util::MatrixView<T> c,
                           util::ThreadPool* pool = nullptr, int kernel = 0) {
-  detail::MicroDispatch<T> micro;
-  micro.sel = mk::select_for_tile<T>(a.tile_rows(), b.tile_cols(), kernel);
-  micro.tile_rows = a.tile_rows();
-  micro.tile_cols = b.tile_cols();
+  const detail::MicroDispatch<T> micro{
+      mk::select_for_tile<T>(a.tile_rows(), b.tile_cols(), kernel)};
+  if (!micro.sel)
+    throw std::invalid_argument(
+        "outer_product_packed: no registered micro-kernel packs this "
+        "tile geometry");
   const std::size_t k = a.depth();
   const std::size_t col_tiles = b.tiles();
   auto body = [&](std::size_t task) {
@@ -292,10 +215,9 @@ void gemm_tiled(T alpha, util::MatrixView<const T> a,
   // kernel accumulates identically — just slower).
   std::size_t mc = opt.mc;
   std::size_t nc = opt.nc;
-  if (mc != 0)
-    mc = std::max(micro.tile_rows, mc / micro.tile_rows * micro.tile_rows);
-  if (nc != 0)
-    nc = std::max(micro.tile_cols, nc / micro.tile_cols * micro.tile_cols);
+  const std::size_t tr = micro.sel.tile_rows(), tc = micro.sel.nr();
+  if (mc != 0) mc = std::max(tr, mc / tr * tr);
+  if (nc != 0) nc = std::max(tc, nc / tc * tc);
   if (mc == 0 || mc > c.rows()) mc = c.rows();
   if (nc == 0 || nc > c.cols()) nc = c.cols();
   for (std::size_t jc = 0; jc < c.cols(); jc += nc) {

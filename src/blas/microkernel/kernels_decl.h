@@ -8,15 +8,21 @@
 // shapes share a (TileRows, Nr) pack geometry, so a packed operand pair
 // names exactly one shape (select_for_tile relies on this).
 //
-//   3x8  — 12 XMM accumulators, fits SSE2's 16-register file; the generic
-//          tier's fp64 auto shape.
-//   4x8  — 16 ymm-halves; the fp64 auto shape at AVX2 and AVX-512 and the
-//          fp32 auto shape everywhere (fastest at the LU's update shapes,
-//          DESIGN.md §12).
-//   8x6  — tall variant: trades B-row width for A-column reuse.
-//   4x12 — wide variant: 12 accumulators of 12, stresses B-stream bandwidth.
-//   8x8  — 16 zmm-halves / 8 zmm accumulators; fills the AVX-512 register
-//          file but deepens the un-contracted mul+add chains.
+//   3x8  — 12 two-lane XMM accumulators at the generic tier, inside SSE2's
+//          16-register file; the generic tier's fp64 auto shape.
+//   4x8  — one register row per C row at AVX-512 fp64 (4 zmm accumulators)
+//          and AVX2 fp32; the fp64 auto shape at AVX2 and AVX-512 and the
+//          fp32 auto shape at AVX2 and generic.
+//   4x12 — wide variant: Nr = 12 splits into 4-lane vectors at every vector
+//          tier (3 per row), stressing the B stream.
+//   8x8  — tall variant: 8 zmm accumulators at AVX-512 fp64; level with
+//          4x8 there, not ahead by more than the run-to-run spread.
+//   4x16 — fp32's full-width register row at AVX-512 (one 16-lane zmm per
+//          C row); the fp32 auto shape there (DESIGN.md §12).
+//
+// The lane count of each kernel is the widest power of two that fits its
+// TU's vector register and divides Nr (kernels_inl.h), so the same shape is
+// one, two or four vectors per row depending on the tier.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +32,9 @@ namespace xphi::blas::mk {
 #define XPHI_MK_FOR_EACH_SHAPE(X) \
   X(3, 8, 30)                     \
   X(4, 8, 28)                     \
-  X(8, 6, 32)                     \
   X(4, 12, 28)                    \
-  X(8, 8, 32)
+  X(8, 8, 32)                     \
+  X(4, 16, 28)
 
 inline constexpr std::size_t kShapeCount = 5;
 

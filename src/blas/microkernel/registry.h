@@ -9,15 +9,15 @@
 //      `microkernel` knob, mr*100 + nr).
 //   2. Otherwise auto-dispatch: the widest ISA tier host_cpu_features()
 //      reports AND the build compiled, at that tier's preferred shape —
-//      4x8 at avx2 and avx512 (fp64 and fp32), and at generic 3x8 for fp64
-//      and 4x8 for fp32; the shape measured fastest at the LU's update
-//      shapes (DESIGN.md §12).
+//      fp64: 4x8 at avx2 and avx512, 3x8 at generic; fp32: 4x16 at avx512
+//      (one full 16-lane row), 4x8 at avx2 and generic. Each is the shape
+//      measured fastest at the LU's update shapes (DESIGN.md §12).
 //
-// A shape forced onto a host whose build lacks that ISA variant silently
-// degrades to the widest variant *of that shape* that is present — the
-// shape (and therefore the numerics contract) is honored exactly; only the
-// instruction encoding changes, and all ISA variants of a shape are
-// bitwise-identical (kernels_inl.h).
+// A shape forced onto a tier the host cannot run, or the build lacks,
+// silently degrades to the widest variant *of that shape* that is present
+// and runnable — the shape (and therefore the numerics contract) is honored
+// exactly; only the instruction encoding changes, and all ISA variants of a
+// shape are bitwise-identical (kernels_inl.h).
 //
 // Spec grammar: "MRxNR[@isa]" or "auto[@isa]", isa in {generic, avx2,
 // avx512}. "auto@generic" caps the tier without pinning a shape.
@@ -55,15 +55,11 @@ struct Kernel {
   Fns<T> variants[kIsaCount];
 };
 
-/// All registered kernels for T, in kernels_decl.h order. The primary
-/// template is the unsupported-type fallback (empty list: callers keep
-/// their generic template path); double and float specialize to the real
-/// tables in registry.cc.
+/// All registered kernels for T, in kernels_decl.h order. Only double and
+/// float have tables (registry.cc); the primary templates below are
+/// declared, never defined, so any other type fails to link.
 template <class T>
-const std::vector<Kernel<T>>& registry() {
-  static const std::vector<Kernel<T>> kEmpty;
-  return kEmpty;
-}
+const std::vector<Kernel<T>>& registry();
 template <>
 const std::vector<Kernel<double>>& registry<double>();
 template <>
@@ -93,13 +89,9 @@ struct Selection {
 
 /// Dispatch. id = 0 is auto (honors XPHI_MICROKERNEL); id = mr*100+nr pins
 /// the shape (the env override still wins, by design — CI pins beat DB
-/// entries). Unknown ids fall back to auto. Returns an empty Selection only
-/// when registry<T>() is empty (the primary template below).
+/// entries). Unknown ids fall back to auto.
 template <class T>
-Selection<T> select_kernel(int id = 0) {
-  (void)id;
-  return {};
-}
+Selection<T> select_kernel(int id = 0);
 template <>
 Selection<double> select_kernel<double>(int id);
 template <>
@@ -109,10 +101,7 @@ Selection<float> select_kernel<float>(int id);
 /// names an unknown shape. Ignores the environment (this *is* the forcing
 /// path).
 template <class T>
-std::optional<Selection<T>> select_kernel_spec(std::string_view spec) {
-  (void)spec;
-  return std::nullopt;
-}
+std::optional<Selection<T>> select_kernel_spec(std::string_view spec);
 template <>
 std::optional<Selection<double>> select_kernel_spec<double>(
     std::string_view spec);
@@ -129,12 +118,7 @@ std::optional<Selection<float>> select_kernel_spec<float>(
 /// tile_rows()/nr() get back the same kernel.
 template <class T>
 Selection<T> select_for_tile(std::size_t tile_rows, std::size_t tile_cols,
-                             int id = 0) {
-  (void)tile_rows;
-  (void)tile_cols;
-  (void)id;
-  return {};
-}
+                             int id = 0);
 template <>
 Selection<double> select_for_tile<double>(std::size_t tile_rows,
                                           std::size_t tile_cols, int id);

@@ -35,24 +35,14 @@
 
 namespace xphi::blas {
 
-/// Register micro-block shape of the *generic fallback* kernel: 3x8 keeps
-/// the accumulator block at 24 doubles — 12 XMM registers on a baseline
-/// SSE2 build (16 available), leaving room for the b-row loads and the a
-/// broadcast. The dispatched shapes live in the runtime registry
-/// (blas/microkernel/registry.h); this pair only anchors the default pack
-/// geometry and the template fallback path.
-inline constexpr std::size_t kMicroRows = 3;
-inline constexpr std::size_t kMicroCols = 8;
-
-/// Default packed-tile geometry, derived from the micro shape: 10 micro-row
-/// blocks per A tile reproduces Basic Kernel 2's 30-row C block; the B tile
-/// width is the micro-block width (one vector of 8 doubles). Registry
-/// kernels carry their own tile_rows/nr, and every packed-GEMM consumer
-/// (gemm_tiled, the DAG LU update, the offload engine) packs at the
-/// dispatched kernel's geometry, so these constants only govern the
-/// template fallback path and callers that pack with the defaults.
-inline constexpr std::size_t kTileRows = 10 * kMicroRows;
-inline constexpr std::size_t kTileCols = kMicroCols;
+/// Default packed-tile geometry: the 3x8 registry shape's 30-row A tile
+/// (ten 3-row register blocks, Basic Kernel 2's 30-row C block) and 8-wide
+/// B tile. Registry kernels carry their own tile_rows/nr, and every
+/// packed-GEMM consumer (gemm_tiled, the DAG LU update, the offload engine)
+/// packs at the dispatched kernel's geometry, so these constants only serve
+/// callers that pack with the defaults.
+inline constexpr std::size_t kTileRows = 30;
+inline constexpr std::size_t kTileCols = 8;
 
 /// Packed form of an M x k block of A.
 template <class T>

@@ -91,7 +91,7 @@ SearchSpace microkernel() {
   SearchSpace s;
   // Registry shape ids (mr*100 + nr), 0 = auto-dispatch. The candidate
   // list mirrors blas/microkernel/kernels_decl.h.
-  s.add("microkernel", {0, 308, 408, 806, 412, 808}, 0);
+  s.add("microkernel", {0, 308, 408, 412, 808, 416}, 0);
   s.add("chunk_k", {120, 180, 240, 300, 340, 400, 480, 600}, 300);
   // mc in row multiples the tile heights share; 0 = unbounded (PR 5
   // behavior). The high end covers what a multi-MiB L2 derives to.

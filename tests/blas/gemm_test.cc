@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "blas/gemm_ref.h"
+#include "blas/microkernel/registry.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -44,8 +46,10 @@ TEST(MicroKernel, SingleTileMatchesRef) {
   PackedB<double> pb;
   pa.pack(a.view());
   pb.pack(b.view());
-  micro_kernel<double>(pa.tile(0), pb.tile(0), 17, 1.0, 0.0, c.data(), c.ld(),
-                       30, 8);
+  // The default 30 x 8 pack geometry is the 3x8 registry shape's.
+  const auto sel = mk::select_for_tile<double>(kTileRows, kTileCols);
+  ASSERT_TRUE(static_cast<bool>(sel));
+  sel.fns.full(pa.tile(0), pb.tile(0), 17, 1.0, 0.0, c.data(), c.ld());
   gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view());
   EXPECT_LT(util::max_abs_diff<double>(c.view(), c_ref.view()), 1e-12);
 }
@@ -61,8 +65,10 @@ TEST(MicroKernel, MasksPaddingOnEdgeTiles) {
   PackedB<double> pb;
   pa.pack(a.view());
   pb.pack(b.view());
-  micro_kernel<double>(pa.tile(0), pb.tile(0), 4, 1.0, 0.0, c.data(), c.ld(),
-                       7, 3);
+  const auto sel = mk::select_for_tile<double>(kTileRows, kTileCols);
+  ASSERT_TRUE(static_cast<bool>(sel));
+  sel.fns.masked(pa.tile(0), pb.tile(0), 4, 1.0, 0.0, c.data(), c.ld(), 7,
+                 3);
   // Outside the 7x3 corner must be untouched.
   for (std::size_t r = 0; r < 9; ++r) {
     for (std::size_t cc = 0; cc < 5; ++cc) {
@@ -217,25 +223,38 @@ TEST(GemmKernelSplit, BetaZeroVersusAccumulate) {
 }
 
 TEST(GemmKernelSplit, FullTileFastPathMatchesMaskedBitwise) {
-  // On an interior tile the fast path must produce bit-identical results to
-  // the masked path (same per-element accumulation order).
-  Matrix<double> a(30, 57), b(57, 8);
-  util::fill_hpl_matrix(a.view(), 41);
-  util::fill_hpl_matrix(b.view(), 42);
-  PackedA<double> pa;
-  PackedB<double> pb;
-  pa.pack(a.view());
-  pb.pack(b.view());
-  Matrix<double> c_fast(30, 8), c_masked(30, 8);
-  c_fast.fill(0.25);
-  c_masked.fill(0.25);
-  micro_kernel_full<double, kTileRows, kTileCols, kMicroRows>(
-      pa.tile(0), pb.tile(0), 57, -1.5, 0.75, c_fast.data(), c_fast.ld());
-  micro_kernel_masked<double>(pa.tile(0), pb.tile(0), 57, -1.5, 0.75,
-                              c_masked.data(), c_masked.ld(), 30, 8);
-  EXPECT_EQ(std::memcmp(c_fast.data(), c_masked.data(),
-                        30 * 8 * sizeof(double)),
-            0);
+  // On an interior tile every registered kernel's fast path must produce
+  // bit-identical results to its masked path (same per-element
+  // accumulation order), for every shape at every ISA tier the host runs.
+  constexpr std::size_t k = 57;
+  for (const auto& kern : mk::registry<double>()) {
+    const std::size_t tr = kern.shape.tile_rows, nr = kern.shape.nr;
+    Matrix<double> a(tr, k), b(k, nr);
+    util::fill_hpl_matrix(a.view(), 41);
+    util::fill_hpl_matrix(b.view(), 42);
+    PackedA<double> pa;
+    PackedB<double> pb;
+    pa.pack(a.view(), tr);
+    pb.pack(b.view(), nr);
+    for (std::size_t isa = 0; isa < mk::kIsaCount; ++isa) {
+      const std::string spec = std::string(kern.shape.name) + "@" +
+                               mk::isa_name(static_cast<mk::Isa>(isa));
+      const auto sel = mk::select_kernel_spec<double>(spec);
+      if (!sel.has_value() || sel->isa != static_cast<mk::Isa>(isa))
+        continue;  // tier not compiled, or not runnable on this host
+      Matrix<double> c_fast(tr, nr), c_masked(tr, nr);
+      c_fast.fill(0.25);
+      c_masked.fill(0.25);
+      sel->fns.full(pa.tile(0), pb.tile(0), k, -1.5, 0.75, c_fast.data(),
+                    c_fast.ld());
+      sel->fns.masked(pa.tile(0), pb.tile(0), k, -1.5, 0.75,
+                      c_masked.data(), c_masked.ld(), tr, nr);
+      EXPECT_EQ(std::memcmp(c_fast.data(), c_masked.data(),
+                            tr * nr * sizeof(double)),
+                0)
+          << spec;
+    }
+  }
 }
 
 TEST(GemmTiled, PooledMultiChunkDoubleBuffering) {

@@ -118,7 +118,7 @@ TEST(OffloadFunctional, PinnedKernelMatchesDefaultBitwise) {
   cfg.knobs.mt = 60;
   cfg.knobs.nt = 50;
   offload_gemm_functional(-1.0, a.view(), b.view(), want.view(), cfg);
-  for (const int kernel : {308, 408, 806, 412, 808}) {
+  for (const int kernel : {308, 408, 412, 808, 416}) {
     SCOPED_TRACE(::testing::Message() << "microkernel=" << kernel);
     Matrix<double> c(m, n);
     util::fill_hpl_matrix(c.view(), 23);

@@ -39,7 +39,7 @@ TEST(DagLuFactor, MatchesSequentialBlockedFactorization) {
        {Shape{96, 24}, Shape{70, 12}, Shape{10, 16}, Shape{1, 8},
         Shape{130, 32}}) {
     for (const int workers : {1, 4}) {
-      for (const int kernel : {0, 308, 408, 806, 412, 808}) {
+      for (const int kernel : {0, 308, 408, 412, 808, 416}) {
         SCOPED_TRACE(::testing::Message()
                      << "n=" << sh.n << " nb=" << sh.nb
                      << " workers=" << workers << " microkernel=" << kernel);
