@@ -3,7 +3,7 @@
 #
 # Covers the dynamic parallel_for scheduler (thread pool), parallel packing
 # and the pack cache, the pooled tiled GEMM, the panel critical-path kernels
-# (pool-parallel iamax, fused LASWP, blocked TRSM), the DAG LU executor, the
+# (pooled fused LASWP and blocked TRSM), the DAG LU executor, the
 # offload engine's card threads, the net::World messaging layer (the
 # cooperative coroutine scheduler, via the TSan fiber API, plus nonblocking
 # requests, both collective families and the engine-conformance suite), the
@@ -27,7 +27,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_util" --gtest_filter='ThreadPool*'
 "$BUILD_DIR/tests/test_blas" --gtest_filter='Pack*:PackCache*:Gemm*'
-"$BUILD_DIR/tests/test_panel"  # pool-parallel iamax, fused LASWP, blocked TRSM
+"$BUILD_DIR/tests/test_panel"  # pooled fused LASWP and blocked TRSM
 # Registry dispatch under the pooled GEMM: magic-static table init racing
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'

@@ -5,11 +5,12 @@
 //
 // The panel / swap / TRSM chain is the look-ahead schedulers' critical path
 // (the code Figures 5 and 8 pipeline around), so the hot variants here are
-// blocked and pool-parallel:
+// blocked, and the swaps and solves are pool-parallel:
 //   - getrf_panel is a recursive right-looking factorization (configurable
 //     cutoff PanelOptions::nb_min) whose right-half update runs through the
-//     packed gemm_tiled micro-kernel, with a ThreadPool-parallel column-split
-//     iamax reduction and row-parallel rank updates on tall panels;
+//     packed gemm_tiled micro-kernel. It always runs serially, on a
+//     contiguous per-thread copy of the panel (row stride = panel width), so
+//     the pivot search and rank updates never stride across a wide matrix;
 //   - laswp_fused composes a whole panel's interchanges (a SwapPlan, built
 //     once per panel) into one permutation and applies it as disjoint
 //     cycles — each row moves once, instead of one full-width sweep per
@@ -25,21 +26,22 @@
 //
 // Determinism contract: for a given operand shape the blocked kernels
 // perform the same per-element accumulation order no matter how the caller
-// splits columns or whether a pool is supplied, so every scheduled driver
-// (DAG, static look-ahead, hybrid, distributed) produces bitwise-identical
-// factors to the sequential blocked oracle.
+// splits columns, whether a pool is supplied or what the operand's row
+// stride is, so every scheduled driver (DAG, static look-ahead, hybrid,
+// distributed) produces bitwise-identical factors to the sequential blocked
+// oracle.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "blas/gemm_tiled.h"
+#include "util/aligned.h"
 #include "util/matrix.h"
 #include "util/thread_pool.h"
 
@@ -82,11 +84,6 @@ std::size_t trsm_unroll_rank() {
 /// working set stays cache-resident while a pivot pass streams over it.
 inline constexpr std::size_t kLaswpColChunk = 256;
 
-/// Row count above which the pivot search and rank-1 updates of the
-/// unblocked panel split across the pool (below it the dispatch overhead
-/// dwarfs the scan).
-inline constexpr std::size_t kPanelParallelMinRows = 512;
-
 /// Index of the element with the largest magnitude in column `col` of `a`,
 /// searching rows [row0, a.rows()). Ties keep the lowest index (strict `>`);
 /// NaN entries are never selected unless the very first element is NaN (the
@@ -101,56 +98,6 @@ std::size_t iamax_col(util::MatrixView<const T> a, std::size_t col,
     if (v > best_abs) {
       best_abs = v;
       best = r;
-    }
-  }
-  return best;
-}
-
-/// Pool-parallel iamax: the column splits into one contiguous row range per
-/// participant; partial maxima combine in range order with the same strict
-/// `>` the serial scan uses, so the selected pivot is identical — including
-/// tie-breaks and the NaN-at-row0 sticky case (range 0 seeds its running max
-/// from the first element exactly like the serial scan; later ranges seed
-/// from -inf so an interior NaN cannot mask a larger later value).
-template <class T>
-std::size_t iamax_col(util::MatrixView<const T> a, std::size_t col,
-                      std::size_t row0, util::ThreadPool* pool) {
-  const std::size_t rows = a.rows() - row0;
-  if (pool == nullptr || rows < kPanelParallelMinRows)
-    return iamax_col<T>(a, col, row0);
-  const std::size_t parts = pool->size() + 1;
-  const std::size_t chunk = (rows + parts - 1) / parts;
-  std::vector<std::pair<T, std::size_t>> part_best(
-      parts, {T{}, std::numeric_limits<std::size_t>::max()});
-  pool->parallel_for(
-      parts,
-      [&](std::size_t p) {
-        const std::size_t lo = row0 + p * chunk;
-        const std::size_t hi = std::min(a.rows(), lo + chunk);
-        if (lo >= hi) return;
-        std::size_t best = lo;
-        T best_abs = p == 0 ? std::abs(a(lo, col))
-                            : (std::numeric_limits<T>::has_infinity
-                                   ? -std::numeric_limits<T>::infinity()
-                                   : std::numeric_limits<T>::lowest());
-        for (std::size_t r = lo + (p == 0 ? 1 : 0); r < hi; ++r) {
-          const T v = std::abs(a(r, col));
-          if (v > best_abs) {
-            best_abs = v;
-            best = r;
-          }
-        }
-        part_best[p] = {best_abs, best};
-      },
-      /*grain=*/1);
-  std::size_t best = part_best[0].second;
-  T best_abs = part_best[0].first;
-  for (std::size_t p = 1; p < parts; ++p) {
-    if (part_best[p].second == std::numeric_limits<std::size_t>::max())
-      continue;
-    if (part_best[p].first > best_abs) {
-      best_abs = part_best[p].first;
-      best = part_best[p].second;
     }
   }
   return best;
@@ -357,39 +304,26 @@ void laswp_fused(util::MatrixView<T> a, std::span<const std::size_t> ipiv,
 /// Unblocked DGETRF of an m x n panel (m >= n): right-looking with partial
 /// pivoting. Writes pivots into ipiv[0..n) as row indices local to the view.
 /// Returns false if an exactly zero pivot is hit (matrix singular).
-///
-/// With a pool and a tall panel the pivot search is the chunked iamax
-/// reduction and the column scaling + rank-1 update fan out row-wise; both
-/// are bitwise-identical to the serial path (rows are independent, and the
-/// scale of a(r, j) fuses into row r's own update).
 template <class T>
-bool getrf_unblocked(util::MatrixView<T> a, std::span<std::size_t> ipiv,
-                     util::ThreadPool* pool = nullptr) {
+bool getrf_unblocked(util::MatrixView<T> a, std::span<std::size_t> ipiv) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t steps = m < n ? m : n;
   assert(ipiv.size() >= steps);
   for (std::size_t j = 0; j < steps; ++j) {
-    const std::size_t p = iamax_col<T>(a, j, j, pool);
+    const std::size_t p = iamax_col<T>(a, j, j);
     ipiv[j] = p;
     swap_rows(a, j, p);
     const T pivot = a(j, j);
     if (pivot == T{}) return false;
     const T inv = T{1} / pivot;
-    const std::size_t rows = m - j - 1;
     const T* urow = a.row(j);
-    auto row_body = [&](std::size_t t) {
-      const std::size_t r = j + 1 + t;
+    for (std::size_t r = j + 1; r < m; ++r) {
       T* arow = a.row(r);
       arow[j] *= inv;
       const T l = arow[j];
-      if (l == T{}) return;
+      if (l == T{}) continue;
       for (std::size_t c = j + 1; c < n; ++c) arow[c] -= l * urow[c];
-    };
-    if (pool != nullptr && rows >= kPanelParallelMinRows) {
-      pool->parallel_for(rows, row_body);
-    } else {
-      for (std::size_t t = 0; t < rows; ++t) row_body(t);
     }
   }
   return true;
@@ -408,55 +342,85 @@ struct PanelOptions {
   /// 0 = auto-dispatch). Bitwise-neutral — every registered shape
   /// accumulates identically — so a TuningDB entry can set it freely.
   int microkernel = 0;
-  /// Worker pool for the iamax reduction, rank updates, fused swaps and the
-  /// packed GEMM updates; null = serial (same results either way).
+  /// Worker pool for a stage's fused swaps, U-row TRSM and GemmTiledUpdate
+  /// (getrf.h); null = serial (same results either way). getrf_panel
+  /// ignores it: the panel always factors serially.
   util::ThreadPool* pool = nullptr;
 };
 
-/// Recursive right-looking DGETRF of an m x n panel (m >= n). Splits the
-/// columns, factors the left half, applies it to the right half — fused
-/// swap pass, blocked TRSM, packed gemm_tiled update — then recurses into
-/// the trailing right half. This is the "highly optimized panel
-/// factorization" shape the native Linpack uses (paper Section IV).
+namespace detail {
+
+/// getrf_panel's recursion, serial, on any view.
 template <class T>
-bool getrf_panel(util::MatrixView<T> a, std::span<std::size_t> ipiv,
-                 const PanelOptions& options = {}) {
+bool getrf_panel_rec(util::MatrixView<T> a, std::span<std::size_t> ipiv,
+                     const PanelOptions& options) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t nb_min = options.nb_min > 0 ? options.nb_min : 8;
-  if (n <= nb_min || m <= 1)
-    return getrf_unblocked<T>(a, ipiv, options.pool);
+  if (n <= nb_min || m <= 1) return getrf_unblocked<T>(a, ipiv);
   const std::size_t n1 = n / 2;
   const std::size_t n2 = n - n1;
 
   auto left = a.block(0, 0, m, n1);
-  if (!getrf_panel<T>(left, ipiv.subspan(0, n1), options)) return false;
+  if (!getrf_panel_rec<T>(left, ipiv.subspan(0, n1), options)) return false;
 
   // Fused swap + TRSM + GEMM of the right half against the factored left.
   auto right = a.block(0, n1, m, n2);
   laswp_fused<T>(right, std::span<const std::size_t>(ipiv.data(), n1), 0, n1,
-                 options.pool, options.laswp_col_chunk);
+                 nullptr, options.laswp_col_chunk);
   auto l11 = a.block(0, 0, n1, n1);
   auto b_top = a.block(0, n1, n1, n2);
-  trsm_left_lower_unit<T>(l11, b_top, options.pool);
+  trsm_left_lower_unit<T>(l11, b_top);
   if (m > n1) {
     auto a21 = a.block(n1, 0, m - n1, n1);
     auto b_bot = a.block(n1, n1, m - n1, n2);
     GemmOptions go;
     go.chunk_k = n1 < 300 ? (n1 ? n1 : 1) : 300;
     go.kernel = options.microkernel;
-    go.pool = options.pool;
     gemm_tiled<T>(T{-1}, a21, b_top, T{1}, b_bot, go);
   }
   auto bottom = a.block(n1, n1, m - n1, n2);
-  if (!getrf_panel<T>(bottom, ipiv.subspan(n1, n2), options)) return false;
+  if (!getrf_panel_rec<T>(bottom, ipiv.subspan(n1, n2), options))
+    return false;
   // Adjust the second half's pivots to be panel-relative and apply them to
   // the left columns in one fused pass.
   for (std::size_t i = 0; i < n2; ++i) ipiv[n1 + i] += n1;
   auto left_cols = a.block(0, 0, m, n1);
   laswp_fused<T>(left_cols, std::span<const std::size_t>(ipiv.data(), n), n1,
-                 n, options.pool, options.laswp_col_chunk);
+                 n, nullptr, options.laswp_col_chunk);
   return true;
+}
+
+}  // namespace detail
+
+/// Recursive right-looking DGETRF of an m x n panel (m >= n). Splits the
+/// columns, factors the left half, applies it to the right half — fused
+/// swap pass, blocked TRSM, packed gemm_tiled update — then recurses into
+/// the trailing right half. This is the "highly optimized panel
+/// factorization" shape the native Linpack uses (paper Section IV).
+///
+/// A panel of a wider matrix (ld != cols) is copied into a per-thread
+/// buffer with row stride n, factored there and copied back — also after a
+/// zero pivot, so the caller sees the same partial state as an in-place
+/// factorization. In place, a power-of-two ld puts the panel's rows on a
+/// few cache sets. The recursion always runs serially: on a contiguous
+/// copy it beats every pooled variant. Every element sees the same
+/// operations in the same order either way, so the copy changes no bit.
+template <class T>
+bool getrf_panel(util::MatrixView<T> a, std::span<std::size_t> ipiv,
+                 const PanelOptions& options = {}) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  if (a.ld() == n) return detail::getrf_panel_rec<T>(a, ipiv, options);
+  static thread_local util::AlignedBuffer<T> scratch;
+  scratch.resize_for_overwrite(m * n);
+  const util::MatrixView<T> c(scratch.data(), m, n, n);
+  for (std::size_t r = 0; r < m; ++r)
+    std::copy(a.row(r), a.row(r) + n, c.row(r));
+  const bool ok = detail::getrf_panel_rec<T>(c, ipiv, options);
+  for (std::size_t r = 0; r < m; ++r)
+    std::copy(c.row(r), c.row(r) + n, a.row(r));
+  return ok;
 }
 
 /// Back-compatible spelling: `leaf` is the recursion cutoff.

@@ -11,12 +11,12 @@
 //   3x8  — 12 two-lane XMM accumulators at the generic tier, inside SSE2's
 //          16-register file; the generic tier's fp64 auto shape.
 //   4x8  — one register row per C row at AVX-512 fp64 (4 zmm accumulators)
-//          and AVX2 fp32; the fp64 auto shape at AVX2 and AVX-512 and the
-//          fp32 auto shape at AVX2 and generic.
+//          and AVX2 fp32; the fp64 auto shape at AVX2 and the fp32 auto
+//          shape at AVX2 and generic.
 //   4x12 — wide variant: Nr = 12 splits into 4-lane vectors at every vector
 //          tier (3 per row), stressing the B stream.
-//   8x8  — tall variant: 8 zmm accumulators at AVX-512 fp64; level with
-//          4x8 there, not ahead by more than the run-to-run spread.
+//   8x8  — tall variant: 8 zmm accumulators at AVX-512 fp64; the fp64
+//          auto shape there, ahead of 4x8 end to end (DESIGN.md §12).
 //   4x16 — fp32's full-width register row at AVX-512 (one 16-lane zmm per
 //          C row); the fp32 auto shape there (DESIGN.md §12).
 //

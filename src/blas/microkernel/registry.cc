@@ -27,20 +27,21 @@ Isa host_max_isa() {
 
 /// Preferred shape id per (type, ISA tier), measured at the LU's two update
 /// shapes (m x nb x nb tasks, (n-nb)^2 x nb trailing; bench_fig4's lu_shape
-/// records, DESIGN.md §12). Every tier keeps a short 3- or 4-row block:
-/// with contraction off (-ffp-contract=off, the determinism contract)
-/// taller blocks add accumulators but not lanes. At AVX-512 fp32 takes 4x16,
+/// records, DESIGN.md §12) and end to end. At AVX-512 fp32 takes 4x16,
 /// whose row is one full 16-lane register: it wins both update shapes by
-/// 1.6-1.9x, and bench_mixed's fp32 factor at n=2048 by 1.2x over 4x8;
-/// fp64 keeps 4x8 (one 8-lane register per row), with 8x8 and 4x16 level
-/// within noise. AVX2 keeps 4x8 for both types until an AVX2-only host
-/// measures it. The generic fp64 tier keeps 3x8, whose 12-accumulator block
-/// fits SSE2's 16 XMM registers.
+/// 1.6-1.9x, and bench_mixed's fp32 factor at n=2048 by 1.2x over 4x8.
+/// fp64 takes 8x8 there (one 8-lane register per row, 8 rows): the
+/// lu_shape cells read it level with or ahead of 4x8, and in ten
+/// alternating 30 s linbench rounds on a 4-vCPU AVX-512 host it lifted
+/// native_lu 1.08x (10/10) with hpl_2x2 level (8/10). AVX2 keeps 4x8 for
+/// both types until an AVX2-only host measures it. The generic fp64 tier
+/// keeps 3x8, whose 12-accumulator block fits SSE2's 16 XMM registers.
 template <class T>
 int preferred_shape_id(Isa isa) {
   constexpr bool kDouble = std::is_same_v<T, double>;
   if (isa == Isa::kGeneric) return kDouble ? 308 : 408;
-  return isa == Isa::kAvx512 && !kDouble ? 416 : 408;
+  if (isa == Isa::kAvx512) return kDouble ? 808 : 416;
+  return 408;
 }
 
 template <class T>

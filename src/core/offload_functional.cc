@@ -191,20 +191,24 @@ FunctionalOffloadStats offload_gemm_functional(
   // "Coprocessor" threads: poll the request queue, verify the transfer,
   // multiply packed tiles with the dispatched micro kernel,
   // return the checksummed product. A scripted death drops the card off the
-  // bus mid-request; the last survivor closes the request queue so the host
-  // stops treating the link as up.
+  // bus at its next dequeue, holding the request it got, or none once the
+  // queue has closed: the death does not depend on whether the other cards
+  // drained the queue first. The last survivor closes the request queue so
+  // the host stops treating the link as up.
   std::vector<std::thread> cards;
   cards.reserve(cfg.cards);
   for (int card = 0; card < cfg.cards; ++card) {
     cards.emplace_back([&, card] {
       std::size_t processed = 0;
-      while (auto req = requests.dequeue()) {
+      for (;;) {
+        auto req = requests.dequeue();
         if (inj != nullptr && inj->card_dies(card, processed)) {
           inj->note_kill(fault::Site::kDmaRequest, processed);
           cards_lost.fetch_add(1, std::memory_order_relaxed);
           if (cards_alive.fetch_sub(1) == 1) requests.close();
-          return;  // the dequeued request dies with the card
+          return;  // the dequeued request, if any, dies with the card
         }
+        if (!req) return;
         ++processed;
         TileResult res;
         res.tile_index = req->tile_index;

@@ -537,7 +537,7 @@ TEST(GemmDispatch, AutoDispatchReportsWidestTier) {
 #if defined(XPHI_MK_HAVE_AVX512)
   if (f.avx512f) {
     EXPECT_EQ(sel.isa, mk::Isa::kAvx512);
-    EXPECT_EQ(sel.id(), 408);
+    EXPECT_EQ(sel.id(), 808);
     return;
   }
 #endif
@@ -589,10 +589,12 @@ TEST(GemmDispatch, FloatAutoDispatchPrefersShortBlock) {
   const auto sel = mk::select_kernel<float>(0);
   ASSERT_TRUE(static_cast<bool>(sel));
   EXPECT_EQ(sel.id(), sel.isa == mk::Isa::kAvx512 ? 416 : 408);
-  // fp64 takes 4x8 on both vector tiers and keeps 3x8 on generic.
+  // fp64 takes 8x8 at AVX-512, 4x8 at AVX2 and 3x8 on generic.
   const auto dsel = mk::select_kernel<double>(0);
   ASSERT_TRUE(static_cast<bool>(dsel));
-  EXPECT_EQ(dsel.id(), dsel.isa == mk::Isa::kGeneric ? 308 : 408);
+  EXPECT_EQ(dsel.id(), dsel.isa == mk::Isa::kAvx512  ? 808
+                       : dsel.isa == mk::Isa::kAvx2 ? 408
+                                                    : 308);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Edge cases and equivalence contracts of the panel critical-path kernels
-// (blas/lu_kernels.h): pooled iamax vs the serial scan (ties, NaN, single
-// rows), fused LASWP vs the sequential per-pivot sweep, the blocked TRSMs vs
-// their scalar references, the trsm_left_upper singularity contract, and
-// bitwise serial/pooled equality of the recursive panel factorization.
+// (blas/lu_kernels.h): the iamax scan (ties, NaN, single rows), fused LASWP
+// vs the sequential per-pivot sweep, the blocked TRSMs vs their scalar
+// references, the trsm_left_upper singularity contract, and bitwise
+// equality of the recursive panel factorization across pools, knobs and
+// row strides (a strided panel is factored on a contiguous copy).
 #include "blas/lu_kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -37,15 +39,12 @@ void copy(Matrix<double>& dst, const Matrix<double>& src) {
     for (std::size_t c = 0; c < src.cols(); ++c) dst(r, c) = src(r, c);
 }
 
-TEST(IamaxCol, TieKeepsLowestIndexSerialAndPooled) {
-  // Rows large enough that the pooled overload takes the chunked path.
+TEST(IamaxCol, TieKeepsLowestIndex) {
   auto a = column(1024, 1);
   a(100, 0) = -7.0;
   a(900, 0) = 7.0;  // same magnitude, higher index: must lose the tie
   MatrixView<const double> v(a.view());
   EXPECT_EQ(iamax_col<double>(v, 0, 0), 100u);
-  ThreadPool pool(3);
-  EXPECT_EQ(iamax_col<double>(v, 0, 0, &pool), 100u);
 }
 
 TEST(IamaxCol, InteriorNaNCannotMaskLaterValues) {
@@ -54,26 +53,19 @@ TEST(IamaxCol, InteriorNaNCannotMaskLaterValues) {
   a(800, 0) = 9.0;
   MatrixView<const double> v(a.view());
   EXPECT_EQ(iamax_col<double>(v, 0, 0), 800u);
-  ThreadPool pool(3);
-  // The NaN sits inside chunk 0; chunks > 0 must still win with 9.0.
-  EXPECT_EQ(iamax_col<double>(v, 0, 0, &pool), 800u);
-  // NaN inside a later chunk must not shadow that chunk's own values either.
   a(5, 0) = 0.0;
   a(700, 0) = kNaN;
   EXPECT_EQ(iamax_col<double>(v, 0, 0), 800u);
-  EXPECT_EQ(iamax_col<double>(v, 0, 0, &pool), 800u);
 }
 
 TEST(IamaxCol, NaNAtFirstRowIsStickyLikeSerial) {
   // The LAPACK quirk: a NaN seed makes every comparison false, so row0 wins
-  // regardless of later magnitudes. The pooled reduction must reproduce it.
+  // regardless of later magnitudes.
   auto a = column(1024, 3);
   a(0, 0) = kNaN;
   a(512, 0) = 100.0;
   MatrixView<const double> v(a.view());
   EXPECT_EQ(iamax_col<double>(v, 0, 0), 0u);
-  ThreadPool pool(3);
-  EXPECT_EQ(iamax_col<double>(v, 0, 0, &pool), 0u);
 }
 
 TEST(IamaxCol, SingleRowPanel) {
@@ -82,26 +74,11 @@ TEST(IamaxCol, SingleRowPanel) {
   a(0, 1) = 2.0;
   a(0, 2) = -3.0;
   MatrixView<const double> v(a.view());
-  ThreadPool pool(2);
   EXPECT_EQ(iamax_col<double>(v, 1, 0), 0u);
-  EXPECT_EQ(iamax_col<double>(v, 1, 0, &pool), 0u);
   // A 1-row panel factors too (no pivoting possible, pivot = row 0).
   std::vector<std::size_t> piv(3);
   EXPECT_TRUE(getrf_panel<double>(a.view(), piv));
   EXPECT_EQ(piv[0], 0u);
-}
-
-TEST(IamaxCol, PooledMatchesSerialOnRandomColumns) {
-  ThreadPool pool(4);
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    auto a = column(2048, 100 + seed);
-    MatrixView<const double> v(a.view());
-    for (std::size_t row0 : {0u, 1u, 517u}) {
-      EXPECT_EQ(iamax_col<double>(v, 0, row0),
-                iamax_col<double>(v, 0, row0, &pool))
-          << "seed " << seed << " row0 " << row0;
-    }
-  }
 }
 
 TEST(MakeSwapPlan, DropsSelfSwapsKeepsOrder) {
@@ -220,22 +197,6 @@ TEST(TrsmLowerUnit, BlockedSolveMatchesScalarReference) {
   }
 }
 
-TEST(GetrfUnblocked, PooledBitwiseMatchesSerial) {
-  // m >= kPanelParallelMinRows so the pooled iamax and rank-1 paths engage.
-  constexpr std::size_t kM = 700, kN = 40;
-  Matrix<double> a1(kM, kN), a2(kM, kN);
-  util::fill_hpl_matrix(a1.view(), 40);
-  copy(a2, a1);
-  std::vector<std::size_t> p1(kN), p2(kN);
-  ASSERT_TRUE(getrf_unblocked<double>(a1.view(), p1));
-  ThreadPool pool(3);
-  ASSERT_TRUE(getrf_unblocked<double>(a2.view(), p2, &pool));
-  EXPECT_EQ(p1, p2);
-  for (std::size_t r = 0; r < kM; ++r)
-    for (std::size_t c = 0; c < kN; ++c)
-      ASSERT_EQ(a1(r, c), a2(r, c)) << "(" << r << "," << c << ")";
-}
-
 TEST(GetrfPanel, PooledBitwiseMatchesSerialAcrossKnobs) {
   constexpr std::size_t kM = 640, kN = 64;
   Matrix<double> ref(kM, kN);
@@ -258,7 +219,8 @@ TEST(GetrfPanel, PooledBitwiseMatchesSerialAcrossKnobs) {
       ASSERT_TRUE(getrf_panel<double>(a2.view(), p2, opt));
       EXPECT_EQ(p1, p2) << "nb_min " << nb_min << " chunk " << chunk;
       // The factors must agree to rounding across recursion cutoffs; with
-      // the same cutoff (8) they are bitwise identical pooled or not.
+      // the same cutoff (8) they are bitwise identical (the panel ignores
+      // the pool and runs serially).
       for (std::size_t r = 0; r < kM; ++r)
         for (std::size_t c = 0; c < kN; ++c) {
           if (nb_min == 8) {
@@ -285,6 +247,95 @@ TEST(GetrfPanel, PivotSequenceMatchesUnblockedReference) {
   for (std::size_t r = 0; r < kM; ++r)
     for (std::size_t c = 0; c < kN; ++c)
       ASSERT_NEAR(a_ref(r, c), a_rec(r, c), 1e-10);
+}
+
+/// Bitwise equality that also holds for NaN entries.
+template <class T>
+bool same_bits(T x, T y) {
+  return std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+/// Factors the same m x pw panel three ways and requires the same return
+/// value, pivots and bits from each: getrf_panel on a panel carved out of a
+/// matrix with a power-of-two ld (the contiguous-copy path), the serial
+/// recursion in place on that strided view, and getrf_panel on the panel as
+/// a contiguous matrix of its own. `shape` edits the panel before factoring.
+/// Columns of the wide matrix outside the panel must come back untouched.
+template <class T, class Shape>
+void expect_strided_matches_contiguous(std::size_t m, std::size_t pw,
+                                       bool expect_ok, Shape shape,
+                                       const char* what) {
+  constexpr std::size_t kLd = 2048, kR0 = 3, kC0 = 128;
+  Matrix<T> src(m, pw);
+  util::fill_hpl_matrix(src.view(), 70 + pw);
+  shape(src.view());
+
+  Matrix<T> contig(m, pw);
+  std::vector<std::size_t> p_contig(pw, 9999);
+  for (std::size_t r = 0; r < m; ++r)
+    for (std::size_t c = 0; c < pw; ++c) contig(r, c) = src(r, c);
+  const bool ok_contig = getrf_panel<T>(contig.view(), p_contig);
+  EXPECT_EQ(ok_contig, expect_ok) << what;
+
+  for (const bool in_place : {false, true}) {
+    Matrix<T> wide(kR0 + m, kLd);
+    util::fill_hpl_matrix(wide.view(), 11);
+    Matrix<T> wide0(kR0 + m, kLd);
+    for (std::size_t r = 0; r < kR0 + m; ++r)
+      for (std::size_t c = 0; c < kLd; ++c) wide0(r, c) = wide(r, c);
+    auto panel = wide.view().block(kR0, kC0, m, pw);
+    for (std::size_t r = 0; r < m; ++r)
+      for (std::size_t c = 0; c < pw; ++c) panel(r, c) = src(r, c);
+    std::vector<std::size_t> piv(pw, 9999);
+    const bool ok = in_place ? detail::getrf_panel_rec<T>(panel, piv, {})
+                             : getrf_panel<T>(panel, piv);
+    EXPECT_EQ(ok, ok_contig) << what << " in_place " << in_place;
+    EXPECT_EQ(piv, p_contig) << what << " in_place " << in_place;
+    for (std::size_t r = 0; r < kR0 + m; ++r)
+      for (std::size_t c = 0; c < kLd; ++c) {
+        const bool inside = r >= kR0 && c >= kC0 && c < kC0 + pw;
+        const T want = inside ? contig(r - kR0, c - kC0) : wide0(r, c);
+        ASSERT_TRUE(same_bits(wide(r, c), want))
+            << what << " in_place " << in_place << " at (" << r << "," << c
+            << "): " << wide(r, c) << " vs " << want;
+      }
+  }
+}
+
+template <class T>
+void strided_panel_cases() {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (const std::size_t pw : {std::size_t{64}, std::size_t{5}}) {
+    const std::size_t m = 300;
+    expect_strided_matches_contiguous<T>(
+        m, pw, true, [](MatrixView<T>) {}, "random");
+    expect_strided_matches_contiguous<T>(
+        m, pw, true,
+        [](MatrixView<T> a) {
+          a(40, 0) = T{-9};  // tie on column 0: row 40 must win over 250
+          a(250, 0) = T{9};
+          a(7, 1) = T{8};  // and on column 1 among the remaining rows
+          a(90, 1) = T{-8};
+        },
+        "ties");
+    expect_strided_matches_contiguous<T>(
+        m, pw, true, [&](MatrixView<T> a) { a(0, 0) = nan; },
+        "NaN in the first row");
+    expect_strided_matches_contiguous<T>(
+        m, pw, true, [&](MatrixView<T> a) { a(150, 3) = nan; },
+        "interior NaN");
+    expect_strided_matches_contiguous<T>(
+        m, pw, false,
+        [&](MatrixView<T> a) {
+          for (std::size_t r = 0; r < a.rows(); ++r) a(r, pw - 2) = T{};
+        },
+        "singular column");
+  }
+}
+
+TEST(GetrfPanel, StridedViewMatchesContiguousBitwise) {
+  strided_panel_cases<double>();
+  strided_panel_cases<float>();
 }
 
 }  // namespace

@@ -263,9 +263,9 @@ TEST(Chaos, HplDropDelayDeadCardBitwiseResidual) {
 
   ASSERT_TRUE(faulted.ok);
   EXPECT_GT(inj.fired(), 0u);
-  // Whether card 1 dequeues before a tiny trailing update drains is
-  // scheduling-dependent, so the kill count is not asserted here; the
-  // dedicated degradation tests above pin it deterministically.
+  // Card 1 dies once per offload-engine call, and this test does not pin
+  // the number of calls, so the kill count is not asserted here; the
+  // dedicated degradation tests above pin it.
   EXPECT_EQ(faulted.ipiv, clean.ipiv);
   EXPECT_EQ(util::max_abs_diff<double>(faulted.factored.view(),
                                        clean.factored.view()),
