@@ -5,7 +5,8 @@
 //     PCIe roofline; above it, wider panels only help the kernel slightly.
 //  2. (Mt, Nt) sweep vs the runtime-adaptive pick at several matrix sizes:
 //     big tiles amortize per-tile overheads but expose bigger first/last
-//     transfers; the tuner tracks the knee.
+//     transfers; the runtime-adaptive pick (tune_tile_size) tracks the
+//     knee.
 #include <cstdio>
 
 #include "core/offload_dgemm.h"
@@ -43,7 +44,7 @@ int main() {
     auto run_fixed = [&](std::size_t tile) {
       core::OffloadDgemmConfig cfg;
       cfg.m = cfg.n = n;
-      cfg.knobs.mt = cfg.knobs.nt = tile;
+      cfg.mt = cfg.nt = tile;
       return core::simulate_offload_dgemm(cfg, knc, snb, link);
     };
     core::OffloadDgemmConfig cfg;

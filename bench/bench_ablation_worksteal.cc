@@ -38,7 +38,7 @@ int main() {
   for (bool merge : {true, false}) {
     core::OffloadDgemmConfig cfg;
     cfg.m = cfg.n = 25000;  // 25000 = 3*7200 + 3400: ragged
-    cfg.knobs.mt = cfg.knobs.nt = 7200;
+    cfg.mt = cfg.nt = 7200;
     cfg.merge_partial_tiles = merge;
     const auto r = core::simulate_offload_dgemm(cfg, knc, snb, link);
     t2.add_row({merge ? "yes (paper)" : "no", util::Table::fmt(r.tiles_total),

@@ -15,9 +15,9 @@
 //   - HPL: scaled residual under the HPL threshold, distributed solve
 //     agreeing with the gathered-factor solve.
 //
-// The b_eff collective probe additionally emits the analytic seed for the
+// The b_eff collective probe additionally emits measured values for the
 // World's size-adaptive dispatch knobs (net_crossover_doubles /
-// net_ring_segment) — the measurement bench_tune's net row starts from.
+// net_ring_segment).
 //
 // Flags:
 //   --out PATH   JSON artifact                      [BENCH_hpcc.json]

@@ -3,8 +3,8 @@
 # suite, re-runs the labelled subsets that exercise the messaging layer
 # (-L net: the coroutine World, the engine-conformance suite, the chaos
 # harness, distributed HPL and the bench_scaling smoke gate), the
-# fault-injection chaos harness (-L fault), the autotuning subsystem
-# (-L tune), the panel critical-path kernels (-L panel), the LU stage
+# fault-injection chaos harness (-L fault), the panel critical-path
+# kernels (-L panel), the LU stage
 # primitives and every driver built on them (-L stage: blocked, DAG,
 # hybrid and distributed, with their bitwise oracles), the
 # micro-kernel registry (-L microkernel) and the HPCC workload suite
@@ -32,9 +32,6 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L net
 
 echo "== ctest -L fault =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L fault
-
-echo "== ctest -L tune =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -L tune
 
 echo "== ctest -L panel =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L panel

@@ -22,7 +22,7 @@ BUILD_DIR="${BUILD_DIR:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DXPHI_SANITIZE=thread -DCMAKE_BUILD_TYPE= \
   >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_util test_blas test_panel test_microkernel test_lu test_core test_net test_net_conformance test_hpl test_mixed test_hpcc test_fault test_tune test_serve bench_scaling bench_hpcc_all
+  --target test_util test_blas test_panel test_microkernel test_lu test_core test_net test_net_conformance test_hpl test_mixed test_hpcc test_fault test_serve bench_scaling bench_hpcc_all
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_util" --gtest_filter='ThreadPool*'
@@ -33,8 +33,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'
 "$BUILD_DIR/tests/test_lu" --gtest_filter='FunctionalDagLu*:DagLuFactor*'
 # Offload engine: card threads, request/response queues and two-ended
-# stealing over one output matrix.
-"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*'
+# stealing over one output matrix, at the default and at a non-default
+# tile size (Consumers.*).
+"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*:Consumers.*'
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
 # Engine conformance: seeded random traffic, both collective families and
 # the 1024-rank bounded-pool run, all on coroutine stacks (the build maps
@@ -49,9 +50,6 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # mid-factor) — refinement-trace determinism under real thread interleaving.
 "$BUILD_DIR/tests/test_mixed"
 "$BUILD_DIR/tests/test_fault"  # injector determinism + the whole chaos harness
-# Tuned knobs feed the threaded offload engine and the DAG LU executor: the
-# consumer-integration tests re-run those engines with DB-supplied knobs.
-"$BUILD_DIR/tests/test_tune" --gtest_filter='Consumers.*'
 # Solve server: real worker threads against the virtual-time dispatcher,
 # cache races under mixed traffic, chaos delays on the transport.
 "$BUILD_DIR/tests/test_serve" --gtest_filter='Server.*:ShardedLuCacheTest.*:ServeChaos.*'

@@ -2,7 +2,7 @@
 // (mc, kc, nc) from probed cache geometry and the selected M_r x N_r
 // micro-kernel — the co-design approach of Martínez et al. (PAPERS.md):
 // instead of black-box searching the whole blocking space, compute the
-// point the cache model says is optimal and let the tuner refine around it.
+// point the cache model says is optimal.
 //
 // Constraints (the classic Goto/BLIS way-splitting model):
 //
@@ -23,10 +23,10 @@
 //
 // Every output is clamped to a usable floor, so degenerate probes (tiny
 // reported caches, zero associativity) still produce a runnable blocking.
-// The derived kc feeds the tuner's chunk_k seed; mc/nc map to GemmOptions
-// mc/nc. Note kc *changes numerics* (each k-chunk is a separately rounded
-// rank-kc update), so engines that promise bitwise-stable factors across
-// hosts pin kc and only inherit mc/nc/shape, which are rounding-neutral.
+// mc/nc map to GemmOptions mc/nc and kc to its chunk_k. Note kc *changes
+// numerics* (each k-chunk is a separately rounded rank-kc update), so
+// engines that promise bitwise-stable factors across hosts pin kc and only
+// inherit mc/nc/shape, which are rounding-neutral.
 #pragma once
 
 #include <algorithm>

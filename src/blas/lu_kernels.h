@@ -74,9 +74,7 @@ template <class T>
 std::size_t trsm_unroll_rank() {
   const auto sel = mk::select_kernel<T>(0);
   const std::size_t mr = sel ? sel.mr() : 4;
-  if (mr >= 8) return 8;
-  if (mr >= 6) return 6;
-  return 4;
+  return mr >= 8 ? 8 : 4;
 }
 
 /// Default column-chunk width of the fused LASWP pass (elements). One chunk
@@ -195,21 +193,15 @@ struct SwapPlan {
   }
 };
 
-/// Plan for the interchanges ipiv[k0..k1), in forward (factorization) or
-/// backward (inverse permutation) application order. Self-swaps are dropped
-/// and the cycle decomposition is prebuilt, ready to apply to any region.
+/// Plan for the interchanges ipiv[k0..k1), in factorization order.
+/// Self-swaps are dropped and the cycle decomposition is prebuilt, ready to
+/// apply to any region.
 inline SwapPlan make_swap_plan(std::span<const std::size_t> ipiv,
-                               std::size_t k0, std::size_t k1,
-                               bool forward = true) {
+                               std::size_t k0, std::size_t k1) {
   SwapPlan plan;
   plan.pairs.reserve(k1 - k0);
-  if (forward) {
-    for (std::size_t i = k0; i < k1; ++i)
-      if (ipiv[i] != i) plan.pairs.emplace_back(i, ipiv[i]);
-  } else {
-    for (std::size_t i = k1; i-- > k0;)
-      if (ipiv[i] != i) plan.pairs.emplace_back(i, ipiv[i]);
-  }
+  for (std::size_t i = k0; i < k1; ++i)
+    if (ipiv[i] != i) plan.pairs.emplace_back(i, ipiv[i]);
   plan.finalize();
   return plan;
 }
@@ -329,9 +321,9 @@ bool getrf_unblocked(util::MatrixView<T> a, std::span<std::size_t> ipiv) {
   return true;
 }
 
-/// Tuning knobs of the recursive panel factorization. The two size knobs are
-/// registered in tune::spaces::panel(), so bench_tune and the TuningDB cover
-/// them; 0 keeps the built-in default.
+/// Options of the LU critical-path kernels. The panel recursion reads
+/// nb_min, laswp_col_chunk and microkernel; a stage's swaps, U-row TRSM and
+/// trailing update (getrf.h) also read pool. Every field is bitwise-neutral.
 struct PanelOptions {
   /// Column cutoff below which the recursion bottoms out in the unblocked
   /// scalar kernel.
@@ -339,8 +331,8 @@ struct PanelOptions {
   /// Column-chunk width of the fused LASWP passes (0 = kLaswpColChunk).
   std::size_t laswp_col_chunk = 0;
   /// Micro-kernel registry shape id for the packed GEMM updates (mr*100+nr;
-  /// 0 = auto-dispatch). Bitwise-neutral — every registered shape
-  /// accumulates identically — so a TuningDB entry can set it freely.
+  /// 0 = auto-dispatch). Bitwise-neutral: every registered shape
+  /// accumulates identically.
   int microkernel = 0;
   /// Worker pool for a stage's fused swaps, U-row TRSM and GemmTiledUpdate
   /// (getrf.h); null = serial (same results either way). getrf_panel
@@ -421,15 +413,6 @@ bool getrf_panel(util::MatrixView<T> a, std::span<std::size_t> ipiv,
   for (std::size_t r = 0; r < m; ++r)
     std::copy(c.row(r), c.row(r) + n, a.row(r));
   return ok;
-}
-
-/// Back-compatible spelling: `leaf` is the recursion cutoff.
-template <class T>
-bool getrf_panel(util::MatrixView<T> a, std::span<std::size_t> ipiv,
-                 std::size_t leaf) {
-  PanelOptions options;
-  options.nb_min = leaf;
-  return getrf_panel<T>(a, ipiv, options);
 }
 
 /// Scalar DTRSM, left side, lower triangular, unit diagonal: solves
@@ -547,9 +530,6 @@ void trsm_left_lower_unit(util::MatrixView<const T> l, util::MatrixView<T> b,
       case 8:
         detail::trsm_lower_cols<T, 8>(l, b, c0, w);
         break;
-      case 6:
-        detail::trsm_lower_cols<T, 6>(l, b, c0, w);
-        break;
       default:
         detail::trsm_lower_cols<T, 4>(l, b, c0, w);
         break;
@@ -607,9 +587,6 @@ bool trsm_left_upper(util::MatrixView<const T> u, util::MatrixView<T> b,
     switch (rank) {
       case 8:
         detail::trsm_upper_cols<T, 8>(u, b, c0, w);
-        break;
-      case 6:
-        detail::trsm_upper_cols<T, 6>(u, b, c0, w);
         break;
       default:
         detail::trsm_upper_cols<T, 4>(u, b, c0, w);

@@ -162,7 +162,7 @@ std::vector<Kernel<T>> build_registry(const IsaTable<T>& generic,
 template <class T>
 Selection<T> select_kernel_impl(int id) {
   // Env pin beats everything — that is what makes CI runs reproducible
-  // regardless of what a TuningDB entry asks for.
+  // regardless of what shape id a caller asks for.
   const ParsedSpec& env = env_spec();
   if (env.ok) {
     if (auto s = resolve_spec<T>(env)) return *s;

@@ -5,11 +5,12 @@
 //
 //   1. An explicit spec always wins: either the XPHI_MICROKERNEL environment
 //      variable (reproducible CI: pin "3x8@generic" and every host computes
-//      with the same code) or a caller-supplied spec/knob id (the TuningDB's
-//      `microkernel` knob, mr*100 + nr).
+//      with the same code) or a caller-supplied spec or shape id
+//      (mr*100 + nr: GemmOptions::kernel, PanelOptions::microkernel,
+//      FunctionalOffloadConfig::microkernel).
 //   2. Otherwise auto-dispatch: the widest ISA tier host_cpu_features()
 //      reports AND the build compiled, at that tier's preferred shape —
-//      fp64: 4x8 at avx2 and avx512, 3x8 at generic; fp32: 4x16 at avx512
+//      fp64: 8x8 at avx512, 4x8 at avx2, 3x8 at generic; fp32: 4x16 at avx512
 //      (one full 16-lane row), 4x8 at avx2 and generic. Each is the shape
 //      measured fastest at the LU's update shapes (DESIGN.md §12).
 //
@@ -43,7 +44,7 @@ struct Shape {
   std::size_t mr = 0;
   std::size_t nr = 0;
   std::size_t tile_rows = 0;
-  int id = 0;  // mr * 100 + nr — the TuningDB encoding
+  int id = 0;  // mr * 100 + nr — the id callers pass to force a shape
   const char* name = "";
 };
 

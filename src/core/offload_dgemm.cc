@@ -121,7 +121,7 @@ OffloadDgemmResult simulate_offload_dgemm(const OffloadDgemmConfig& cfg,
   // Each card owns an equal column range (socket/card interleave); the host,
   // when stealing, works backward from whichever range has most left.
   const std::size_t cols_per_card = cfg.n / cfg.cards;
-  std::size_t mt = cfg.knobs.mt, nt = cfg.knobs.nt;
+  std::size_t mt = cfg.mt, nt = cfg.nt;
   if (mt == 0 || nt == 0) {
     std::tie(mt, nt) =
         tune_tile_size(cfg.m, cols_per_card, cfg.kt, knc, link,

@@ -20,7 +20,6 @@
 
 #include "pci/link.h"
 #include "sim/gemm_model.h"
-#include "tune/knobs.h"
 
 namespace xphi::core {
 
@@ -28,10 +27,9 @@ struct OffloadDgemmConfig {
   std::size_t m = 0, n = 0;
   std::size_t kt = 1200;  // offload panel depth
   int cards = 1;
-  /// Shared knob record (tune/knobs.h): knobs.mt/.nt select the tile size,
-  /// 0 = runtime-adaptive selection (tune_tile_size, the paper's
-  /// model-evaluated candidate table).
-  tune::Knobs knobs;
+  /// C-tile extents; 0 = runtime-adaptive selection (tune_tile_size, the
+  /// paper's model-evaluated candidate table).
+  std::size_t mt = 0, nt = 0;
   bool merge_partial_tiles = true;
   // Host participation: when true the host's compute cores steal tiles from
   // the opposite corner (used inside hybrid HPL); the pure offload-DGEMM

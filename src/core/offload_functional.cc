@@ -18,8 +18,6 @@
 #include "core/tile_grid.h"
 #include "fault/injector.h"
 #include "pci/queue.h"
-#include "tune/bucket.h"
-#include "tune/tuner.h"
 
 namespace xphi::core {
 
@@ -117,20 +115,8 @@ FunctionalOffloadStats offload_gemm_functional(
     MatrixView<double> c, const FunctionalOffloadConfig& cfg) {
   FunctionalOffloadStats stats;
   const std::size_t k = a.cols();
-  tune::Knobs knobs = cfg.knobs;
-  if (cfg.tuner != nullptr) {
-    if (const auto tuned = cfg.tuner->best(
-            "offload_functional", tune::bucket(c.rows(), c.cols(), k))) {
-      if (tuned->mt != 0) knobs.mt = tuned->mt;
-      if (tuned->nt != 0) knobs.nt = tuned->nt;
-      if (tuned->pack_cache_entries != 0)
-        knobs.pack_cache_entries = tuned->pack_cache_entries;
-    }
-  }
-  if (knobs.mt == 0) knobs.mt = 64;
-  if (knobs.nt == 0) knobs.nt = 64;
-  TileGrid grid(c.rows(), c.cols(), knobs.mt, knobs.nt,
-                cfg.merge_partial_tiles);
+  TileGrid grid(c.rows(), c.cols(), cfg.mt != 0 ? cfg.mt : 64,
+                cfg.nt != 0 ? cfg.nt : 64, cfg.merge_partial_tiles);
   stats.tiles_total = grid.count();
 
   fault::Injector* const inj = cfg.injector;
@@ -165,9 +151,7 @@ FunctionalOffloadStats offload_gemm_functional(
     auto cb = c.block(t.r0, t.c0, t.rows, t.cols);
     blas::GemmOptions go;
     go.chunk_k = k == 0 ? 1 : k;  // one k-chunk, like the card's packed GEMM
-    go.mc = knobs.gemm_mc;
-    go.nc = knobs.gemm_nc;
-    go.kernel = knobs.microkernel;
+    go.kernel = cfg.microkernel;
     blas::gemm_tiled<double>(alpha, a.block(t.r0, 0, t.rows, k),
                              b.block(0, t.c0, k, t.cols), 1.0, cb, go);
   };
@@ -223,7 +207,7 @@ FunctionalOffloadStats offload_gemm_functional(
         blas::outer_product_packed<double>(1.0, *req->a, *req->b, 0.0,
                                            res.product->view(),
                                            /*pool=*/nullptr,
-                                           knobs.microkernel);
+                                           cfg.microkernel);
         if (req->checksum != 0) res.checksum = result_checksum(res);
         results.enqueue(std::move(res));
       }
@@ -278,10 +262,7 @@ FunctionalOffloadStats offload_gemm_functional(
   // pack operands into the Knights Corner format, enqueue. The cache bounds
   // live packs to a few panels beyond the tiles in flight; a grid row's
   // A panel and a grid column's B panel are each packed exactly once.
-  blas::PackCache<double> packs(
-      knobs.pack_cache_entries != 0
-          ? knobs.pack_cache_entries
-          : 2 * grid.row_tiles() + 2 * grid.col_tiles());
+  blas::PackCache<double> packs(2 * grid.row_tiles() + 2 * grid.col_tiles());
   auto send = [&](std::size_t idx, int attempt,
                   std::shared_ptr<const blas::PackedA<double>> pa,
                   std::shared_ptr<const blas::PackedB<double>> pb) {
@@ -299,7 +280,7 @@ FunctionalOffloadStats offload_gemm_functional(
   };
 
   // Pack at the dispatched kernel's geometry so the cards run that kernel.
-  const auto kernel = blas::mk::select_kernel<double>(knobs.microkernel);
+  const auto kernel = blas::mk::select_kernel<double>(cfg.microkernel);
   std::size_t total_card_tiles = 0;
   while (auto idx = grid.steal_front()) {
     const Tile& t = grid.tile(*idx);

@@ -23,29 +23,22 @@
 
 #include <cstddef>
 
-#include "tune/knobs.h"
 #include "util/matrix.h"
 
 namespace xphi::fault {
 class Injector;
 }
 
-namespace xphi::tune {
-class Tuner;
-}
-
 namespace xphi::core {
 
 struct FunctionalOffloadConfig {
-  /// Shared knob record (tune/knobs.h) — the same struct the simulated
-  /// offload DGEMM uses, so the tile fields exist exactly once:
-  /// knobs.mt/.nt size the tile grid and knobs.pack_cache_entries caps the
-  /// operand PackCache (0 = derived from the grid).
-  tune::Knobs knobs{.mt = 64, .nt = 64};
-  /// Optional tuning database: a stored "offload_functional" entry for this
-  /// shape bucket overrides the knobs above (tile size and cache capacity
-  /// change throughput, never a bit of the result).
-  const tune::Tuner* tuner = nullptr;
+  /// C-tile extents of the tile grid (0 = 64). The tile size changes
+  /// throughput, never a bit of the result.
+  std::size_t mt = 64;
+  std::size_t nt = 64;
+  /// Micro-kernel registry shape id of the card and host tiles (mr*100+nr;
+  /// 0 = auto-dispatch). Bitwise-neutral, like the tile size.
+  int microkernel = 0;
   int cards = 1;
   bool host_steals = true;
   bool merge_partial_tiles = true;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 
-#include "tune/search_space.h"
 #include "util/rng.h"
 
 namespace xphi::hpcc {
@@ -72,23 +71,6 @@ NetKnobsSeed seed_net_knobs(const std::vector<CollectiveProbe>& probes) {
       });
   if (top->best_segment != 0) seed.ring_segment = top->best_segment;
   return seed;
-}
-
-std::vector<std::size_t> seed_net_point(
-    const std::vector<CollectiveProbe>& probes,
-    const tune::SearchSpace& net_space) {
-  const NetKnobsSeed seed = seed_net_knobs(probes);
-  std::vector<std::size_t> point = net_space.default_point();
-  for (std::size_t d = 0; d < net_space.dims(); ++d) {
-    const std::string& name = net_space.dim(d).name;
-    if (name == "net_crossover_doubles")
-      point[d] = net_space.nearest_index(
-          d, static_cast<long long>(seed.crossover_doubles));
-    else if (name == "net_ring_segment")
-      point[d] = net_space.nearest_index(
-          d, static_cast<long long>(seed.ring_segment));
-  }
-  return point;
 }
 
 BeffResult run_beff(const BeffOptions& options) {

@@ -14,14 +14,12 @@
 //
 // On top of the point-to-point sweep sits the *collective probe*: for each
 // ladder size, the same broadcast is timed through the binomial tree and
-// through the segmented ring at every candidate segment. That table is the
-// measurement ROADMAP item 1 promised item 3: the net_crossover_doubles /
-// net_ring_segment knobs of World::bcast_auto were introduced by PR 8 but
-// tuned blind — seed_net_knobs() turns the probe table into their analytic
-// seed (a la spaces::microkernel_seed): the crossover is the smallest
-// ladder size where the best ring beats the tree, the segment is the
-// winner at the largest probed size. bench_tune snaps the seed onto
-// spaces::net() and asserts seeded >= default.
+// through the segmented ring at every candidate segment. seed_net_knobs()
+// turns that table into measured values for World::bcast_auto's crossover
+// and ring segment (World::set_collective_crossover_doubles /
+// set_ring_segment_doubles): the crossover is the largest ladder size where
+// the tree still wins, the segment is the winner at the largest probed
+// size. bench_hpcc_all reports them.
 #pragma once
 
 #include <cstddef>
@@ -29,10 +27,6 @@
 #include <vector>
 
 #include "net/world.h"
-
-namespace xphi::tune {
-class SearchSpace;
-}
 
 namespace xphi::hpcc {
 
@@ -49,8 +43,7 @@ struct BeffOptions {
   /// Also time tree vs segmented-ring broadcasts per ladder size (the
   /// dispatch-knob seeding table).
   bool probe_collectives = true;
-  /// Ring segments probed (empty = spaces::net()'s candidate list
-  /// {128, 512, 1024, 4096}).
+  /// Ring segments probed (empty = {128, 512, 1024, 4096}).
   std::vector<std::size_t> segment_candidates;
 };
 
@@ -95,13 +88,6 @@ struct NetKnobsSeed {
 /// the largest probed size. Falls back to the World defaults (1024/1024)
 /// when the table is empty or the ring never wins.
 NetKnobsSeed seed_net_knobs(const std::vector<CollectiveProbe>& probes);
-
-/// seed_net_knobs snapped onto spaces::net()'s candidate grid — a start
-/// point for tune::SearchOptions::start (the b_eff twin of
-/// spaces::microkernel_seed).
-std::vector<std::size_t> seed_net_point(
-    const std::vector<CollectiveProbe>& probes,
-    const tune::SearchSpace& net_space);
 
 /// Runs the sweep on a fresh World of `options.ranks` ranks.
 BeffResult run_beff(const BeffOptions& options = {});

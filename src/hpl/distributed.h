@@ -82,7 +82,7 @@ struct DistributedHplOptions {
 
   /// Critical-path kernel knobs of the root-rank panel factorization, the
   /// fused local row-swap passes and the local trailing GEMM (its
-  /// micro-kernel; the offload engine reads offload.knobs.microkernel). The
+  /// micro-kernel; the offload engine reads offload.microkernel). The
   /// pool field is ignored: ranks run their kernels serially.
   blas::PanelOptions panel{};
 
@@ -97,8 +97,7 @@ struct DistributedHplOptions {
   double recv_timeout_seconds = 120;
 
   /// Size-adaptive collective dispatch handed to net::World (0 = World
-  /// defaults; tune knobs "net_crossover_doubles" / "net_ring_segment",
-  /// spaces::net()). Panel/U broadcasts above the crossover travel over the
+  /// defaults). Panel/U broadcasts above the crossover travel over the
   /// segmented ring, smaller ones over the binomial tree; both move the
   /// same bytes, so the choice is bitwise-invisible.
   std::size_t net_crossover_doubles = 0;

@@ -1,8 +1,18 @@
 #include "serve/lu_cache.h"
 
 #include <cstring>
+#include <utility>
+
+#include "sim/machine.h"
 
 namespace xphi::serve {
+
+CacheKey solve_cache_key(std::size_t n, std::size_t nb, bool fp32,
+                         std::uint64_t content_hash) {
+  std::string shape = bucket(n, n, nb).key();
+  if (fp32) shape += "|fp32";
+  return CacheKey{sim::default_fingerprint(), std::move(shape), content_hash};
+}
 
 std::uint64_t content_hash_doubles(const double* data, std::size_t count) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis

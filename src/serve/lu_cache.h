@@ -3,11 +3,11 @@
 // Repeat-RHS traffic re-solves the same matrix with fresh right-hand sides;
 // the dominant cost (the O(n^3) LU) is identical every time, so workers
 // share one process-level cache of finished factorizations. Entries are
-// keyed the way TuningDB keys tuned knobs — machine fingerprint, shape
-// bucket, plus a content hash of the actual matrix — so a key can never
-// alias across machines, across size bands, or across matrices that merely
-// share a seed convention. Mixed-precision entries carry an "|fp32" bucket
-// suffix, so fp32 and fp64 factors of the same matrix never alias either.
+// keyed by machine fingerprint, shape bucket and a content hash of the
+// actual matrix, so a key can never alias across machines, across size
+// bands, or across matrices that merely share a seed convention.
+// Mixed-precision entries carry an "|fp32" bucket suffix, so fp32 and fp64
+// factors of the same matrix never alias either.
 //
 // Capacity is counted in COST UNITS, not entries: an fp64 factorization
 // costs 2 units, an fp32 (mixed-precision) one costs 1 — half the bytes.
@@ -40,8 +40,42 @@
 
 namespace xphi::serve {
 
-/// TuningDB-style cache key: (machine fingerprint, ShapeBucket::key(),
-/// content hash of the matrix bytes).
+/// Smallest power of two >= d (0 stays 0: a degenerate extent is its own
+/// bucket). Saturates at the top bit rather than overflowing.
+constexpr std::size_t bucket_extent(std::size_t d) noexcept {
+  if (d <= 1) return d;
+  constexpr std::size_t kTop = std::size_t{1}
+                               << (8 * sizeof(std::size_t) - 1);
+  if (d > kTop) return kTop;
+  std::size_t b = 1;
+  while (b < d) b <<= 1;
+  return b;
+}
+
+/// Geometric shape bucket: each extent rounds up to the next power of two,
+/// so shapes within one 2x band share a bucket while a shape an order of
+/// magnitude smaller never aliases a large one.
+struct ShapeBucket {
+  std::size_t m = 0, n = 0, k = 0;
+
+  bool operator==(const ShapeBucket&) const = default;
+
+  /// Stable string form used in the cache key: "m<..>_n<..>_k<..>".
+  std::string key() const {
+    return "m" + std::to_string(m) + "_n" + std::to_string(n) + "_k" +
+           std::to_string(k);
+  }
+};
+
+/// Bucket for a C(m x n) += A(m x k) * B(k x n)-shaped problem (an LU
+/// passes n for both m and n and the panel width as k).
+constexpr ShapeBucket bucket(std::size_t m, std::size_t n,
+                             std::size_t k) noexcept {
+  return ShapeBucket{bucket_extent(m), bucket_extent(n), bucket_extent(k)};
+}
+
+/// Cache key: (machine fingerprint, ShapeBucket::key(), content hash of the
+/// matrix bytes).
 struct CacheKey {
   std::string machine;
   std::string bucket;
@@ -53,6 +87,12 @@ struct CacheKey {
     return machine + "|" + bucket + "|" + std::to_string(content_hash);
   }
 };
+
+/// The solve server's key for the factors of an n x n matrix at panel
+/// width nb: sim::default_fingerprint(), bucket(n, n, nb).key() (plus
+/// "|fp32" for mixed-precision factors) and the fp64 matrix's content hash.
+CacheKey solve_cache_key(std::size_t n, std::size_t nb, bool fp32,
+                         std::uint64_t content_hash);
 
 /// FNV-1a over the raw bytes of a double buffer — the content-hash half of
 /// a CacheKey (bit-exact: two matrices hash equal iff their bits are equal).

@@ -19,22 +19,9 @@
 #include "hpl/mixed.h"
 #include "lu/functional.h"
 #include "serve/lu_cache.h"
-#include "tune/knobs.h"
-#include "tune/tuner.h"
 #include "util/rng.h"
 
 namespace xphi::serve {
-
-void ServeConfig::apply(const tune::Knobs& knobs) {
-  if (knobs.serve_batch_window_us != 0)
-    batch_window_us = static_cast<double>(knobs.serve_batch_window_us);
-  if (knobs.serve_cache_shards != 0) cache_shards = knobs.serve_cache_shards;
-  if (knobs.serve_cache_capacity != 0)
-    cache_capacity = knobs.serve_cache_capacity;
-  if (knobs.serve_lane_weight != 0) lane_weight = knobs.serve_lane_weight;
-  if (knobs.serve_admission_queue != 0)
-    admission_queue = knobs.serve_admission_queue;
-}
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
@@ -87,7 +74,7 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 /// the standard scaled residual. Both are deterministic, so a cache hit
 /// still returns bitwise the first solver's answer.
 void worker_main(net::Comm& comm, const ServeConfig& cfg,
-                 ShardedLuCache* cache, const std::string& machine) {
+                 ShardedLuCache* cache) {
   for (;;) {
     net::Payload cmd = comm.recv(0, kTagCmd);
     if (cmd.empty() || cmd[0] == kOpStop) break;
@@ -112,10 +99,8 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
     util::fill_hpl_matrix<double>(a.view(), matrix_seed);
     // fp32 factors of the same matrix must never alias the fp64 entry: the
     // bucket carries the precision, the content hash stays the fp64 bits.
-    std::string bucket = tune::bucket(n, n, nb).key();
-    if (mixed) bucket += "|fp32";
-    const CacheKey key{machine, std::move(bucket),
-                       content_hash_doubles(a.data(), n * n)};
+    const CacheKey key =
+        solve_cache_key(n, nb, mixed, content_hash_doubles(a.data(), n * n));
 
     std::shared_ptr<const Factorization> fac;
     bool hit = false;
@@ -539,7 +524,6 @@ ServeReport run_server(const std::vector<Job>& trace,
     report.tenants[t].tenant = static_cast<int>(t);
 
   ShardedLuCache cache(cfg.cache_shards, cfg.cache_capacity);
-  const std::string machine = tune::default_fingerprint();
 
   net::World world(cfg.workers + 1);
   world.set_recv_timeout(cfg.recv_timeout_seconds);
@@ -562,7 +546,7 @@ ServeReport run_server(const std::vector<Job>& trace,
       for (int w = 0; w < cfg.workers; ++w)
         comm.send(w + 1, kTagCmd, net::Payload{kOpStop});
     } else {
-      worker_main(comm, cfg, &cache, machine);
+      worker_main(comm, cfg, &cache);
     }
   });
   report.wall_elapsed_s =

@@ -46,9 +46,6 @@
 namespace xphi::fault {
 class Injector;
 }
-namespace xphi::tune {
-struct Knobs;
-}
 
 namespace xphi::serve {
 
@@ -57,7 +54,7 @@ struct ServeConfig {
   /// Panel width of the worker-side factorizations.
   std::size_t nb = 32;
 
-  // --- Tunable knobs (spaces::serve(); apply() overlays a Knobs record) --
+  // --- Scheduling and LU-cache knobs -------------------------------------
   /// Virtual age the batch-lane head must reach before a non-full batch
   /// dispatches (coalescing window; interactive jobs never wait).
   double batch_window_us = 200;
@@ -110,9 +107,6 @@ struct ServeConfig {
   /// not measurements.
   double mixed_factor_cost_mult = 0.5;
   double mixed_solve_cost_mult = 3.0;
-
-  /// Overlays tuned knobs (tune::Knobs serve_* fields; 0 = keep current).
-  void apply(const tune::Knobs& knobs);
 };
 
 /// One job's outcome. `x` is empty iff the job was rejected.

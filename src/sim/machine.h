@@ -76,4 +76,11 @@ struct MachineSpec {
   static MachineSpec sandy_bridge_ep();
 };
 
+/// Deterministic identity of a (host, card) pair: core topology and clock,
+/// not the display name, so two specs of the same silicon share it.
+std::string fingerprint(const MachineSpec& host, const MachineSpec& card);
+/// fingerprint() of the paper's Table I pair (Sandy Bridge EP + Knights
+/// Corner); the machine half of the solve server's LU-cache key.
+std::string default_fingerprint();
+
 }  // namespace xphi::sim

@@ -99,7 +99,7 @@ TEST(GetrfPanel, MatchesUnblocked) {
       for (std::size_t c = 0; c < n; ++c) a2(r, c) = a1(r, c);
     std::vector<std::size_t> p1(n), p2(n);
     ASSERT_TRUE(getrf_unblocked<double>(a1.view(), p1));
-    ASSERT_TRUE(getrf_panel<double>(a2.view(), p2, /*leaf=*/4));
+    ASSERT_TRUE(getrf_panel<double>(a2.view(), p2, PanelOptions{.nb_min = 4}));
     EXPECT_EQ(p1, p2);
     EXPECT_LT(util::max_abs_diff<double>(a1.view(), a2.view()), 1e-11)
         << "n=" << n;

@@ -98,7 +98,7 @@ TEST(MicrokernelRegistry, RegistersEveryShape) {
 
 TEST(MicrokernelRegistry, ForcedDispatchEveryShape) {
   for (const auto& k : mk::registry<double>()) {
-    // Knob-id forcing (the TuningDB path). The env pin would win over the
+    // Shape-id forcing (GemmOptions::kernel). The env pin would win over the
     // id by design, so only assert the id path with no pin active.
     if (mk::env_override_spec().empty()) {
       const auto sel = mk::select_kernel<double>(k.shape.id);
@@ -119,7 +119,7 @@ TEST(MicrokernelRegistry, ForcedDispatchEveryShape) {
 
 TEST(MicrokernelRegistry, FloatForcedDispatchEveryShape) {
   // The fp32 table carries the same shapes as fp64; every one must be
-  // reachable through both the TuningDB knob-id path and the env-free spec
+  // reachable through both the shape-id path and the env-free spec
   // path (the mixed solver forces kernels through exactly these).
   for (const auto& k : mk::registry<float>()) {
     if (mk::env_override_spec().empty()) {
@@ -194,7 +194,7 @@ TEST(MicrokernelRegistry, SelectForTileMatchesPackGeometry) {
 
 /// Run only when ctest launches this binary with XPHI_MICROKERNEL set (the
 /// microkernel_env_pin entry in tests/CMakeLists.txt): the env pin must
-/// beat the TuningDB knob id.
+/// beat a caller's shape id.
 TEST(MicrokernelRegistry, EnvPinBeatsKnob) {
   if (mk::env_override_spec().empty())
     GTEST_SKIP() << "XPHI_MICROKERNEL not set for this run";

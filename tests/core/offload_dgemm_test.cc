@@ -89,8 +89,8 @@ TEST_F(OffloadTest, TunerPrefersLargerTilesForLargerMatrices) {
 TEST_F(OffloadTest, ExplicitTileSizeIsHonored) {
   OffloadDgemmConfig cfg;
   cfg.m = cfg.n = 20000;
-  cfg.knobs.mt = 2400;
-  cfg.knobs.nt = 3600;
+  cfg.mt = 2400;
+  cfg.nt = 3600;
   const auto r = simulate_offload_dgemm(cfg, knc_, snb_, link_);
   EXPECT_EQ(r.mt, 2400u);
   EXPECT_EQ(r.nt, 3600u);
@@ -107,7 +107,7 @@ TEST_F(OffloadTest, DegenerateInputs) {
 TEST_F(OffloadTest, UncontendedLinkIsFaster) {
   OffloadDgemmConfig cfg;
   cfg.m = cfg.n = 20000;
-  cfg.knobs.mt = cfg.knobs.nt = 2400;  // transfer-heavy tiles
+  cfg.mt = cfg.nt = 2400;  // transfer-heavy tiles
   const auto contended = simulate_offload_dgemm(cfg, knc_, snb_, link_);
   cfg.contended_pcie = false;
   const auto free_link = simulate_offload_dgemm(cfg, knc_, snb_, link_);

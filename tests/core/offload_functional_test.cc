@@ -58,8 +58,8 @@ TEST(OffloadFunctional, TwoCards) {
 
 TEST(OffloadFunctional, RaggedShapeWithMergedTiles) {
   FunctionalOffloadConfig cfg;
-  cfg.knobs.mt = 50;
-  cfg.knobs.nt = 70;
+  cfg.mt = 50;
+  cfg.nt = 70;
   cfg.cards = 1;
   cfg.host_steals = true;
   FunctionalOffloadStats stats;
@@ -70,8 +70,8 @@ TEST(OffloadFunctional, RaggedShapeWithMergedTiles) {
 
 TEST(OffloadFunctional, TinyMatrixSingleTile) {
   FunctionalOffloadConfig cfg;
-  cfg.knobs.mt = 64;
-  cfg.knobs.nt = 64;
+  cfg.mt = 64;
+  cfg.nt = 64;
   FunctionalOffloadStats stats;
   expect_offload_matches_ref(10, 12, 8, cfg, &stats);
   EXPECT_EQ(stats.tiles_total, 1u);
@@ -115,14 +115,14 @@ TEST(OffloadFunctional, PinnedKernelMatchesDefaultBitwise) {
   FunctionalOffloadConfig cfg;
   cfg.cards = 2;
   cfg.host_steals = true;
-  cfg.knobs.mt = 60;
-  cfg.knobs.nt = 50;
+  cfg.mt = 60;
+  cfg.nt = 50;
   offload_gemm_functional(-1.0, a.view(), b.view(), want.view(), cfg);
   for (const int kernel : {308, 408, 412, 808, 416}) {
     SCOPED_TRACE(::testing::Message() << "microkernel=" << kernel);
     Matrix<double> c(m, n);
     util::fill_hpl_matrix(c.view(), 23);
-    cfg.knobs.microkernel = kernel;
+    cfg.microkernel = kernel;
     const auto stats =
         offload_gemm_functional(-1.0, a.view(), b.view(), c.view(), cfg);
     EXPECT_EQ(stats.tiles_cards + stats.tiles_host, stats.tiles_total);
@@ -141,8 +141,8 @@ TEST(OffloadFunctional, GetrfBlockedOffloadUpdateMatchesDefault) {
   util::fill_hpl_matrix(offload.view(), 61);
   std::vector<std::size_t> p_plain(n), p_offload(n);
   FunctionalOffloadConfig cfg;
-  cfg.knobs.mt = 24;
-  cfg.knobs.nt = 24;
+  cfg.mt = 24;
+  cfg.nt = 24;
   cfg.host_steals = true;
   ASSERT_TRUE(blas::getrf_blocked<double>(plain.view(), p_plain, nb));
   ASSERT_TRUE(blas::getrf_blocked<double>(
@@ -154,6 +154,30 @@ TEST(OffloadFunctional, GetrfBlockedOffloadUpdateMatchesDefault) {
       }));
   EXPECT_EQ(p_offload, p_plain);
   EXPECT_LT(util::max_abs_diff<double>(offload.view(), plain.view()), 1e-11);
+}
+
+
+TEST(Consumers, TuningChangesSpeedNeverResults) {
+  // The tile size is a speed knob: a non-default Mt x Nt must produce the
+  // identical C as the 64x64 default, bit for bit, with two cards and the
+  // host stealing.
+  constexpr std::size_t m = 96, n = 96, k = 24;
+  Matrix<double> a(m, k), b(k, n), c_default(m, n), c_tuned(m, n);
+  util::fill_hpl_matrix(a.view(), 1);
+  util::fill_hpl_matrix(b.view(), 2);
+  util::fill_hpl_matrix(c_default.view(), 3);
+  util::fill_hpl_matrix(c_tuned.view(), 3);
+
+  FunctionalOffloadConfig cfg;
+  cfg.cards = 2;
+  cfg.host_steals = true;
+  offload_gemm_functional(-1.0, a.view(), b.view(), c_default.view(), cfg);
+
+  cfg.mt = 24;
+  cfg.nt = 40;
+  offload_gemm_functional(-1.0, a.view(), b.view(), c_tuned.view(), cfg);
+
+  EXPECT_EQ(util::max_abs_diff<double>(c_tuned.view(), c_default.view()), 0.0);
 }
 
 }  // namespace

@@ -52,8 +52,8 @@ Matrix<double> offload_run(std::size_t m, std::size_t n, std::size_t k,
 
 FunctionalOffloadConfig chaos_offload_config(Injector* inj) {
   FunctionalOffloadConfig cfg;
-  cfg.knobs.mt = 32;
-  cfg.knobs.nt = 32;
+  cfg.mt = 32;
+  cfg.nt = 32;
   cfg.cards = 2;
   cfg.host_steals = true;
   cfg.injector = inj;
@@ -117,7 +117,7 @@ TEST(Chaos, OffloadFaultScheduleIsSeedDeterministic) {
 
 TEST(Chaos, SingleCardDiesHostAbsorbsEverythingPending) {
   FunctionalOffloadConfig clean;
-  clean.knobs.mt = clean.knobs.nt = 32;
+  clean.mt = clean.nt = 32;
   clean.cards = 1;
   clean.host_steals = false;
   const Matrix<double> c_clean = offload_run(128, 128, 32, clean);
@@ -142,7 +142,7 @@ TEST(Chaos, SingleCardDiesHostAbsorbsEverythingPending) {
 
 TEST(Chaos, SurvivingCardAndHostAbsorbDeadCardsTiles) {
   FunctionalOffloadConfig clean;
-  clean.knobs.mt = clean.knobs.nt = 32;
+  clean.mt = clean.nt = 32;
   clean.cards = 2;
   clean.host_steals = false;  // all tiles go through the cards
   const Matrix<double> c_clean = offload_run(256, 256, 32, clean);
@@ -167,7 +167,7 @@ TEST(Chaos, PermanentCorruptionExhaustsRetriesAndDegradesToHost) {
   // max_retries NACKs per tile the host absorbs it — the run still finishes
   // bitwise-clean, just without card contributions.
   FunctionalOffloadConfig clean;
-  clean.knobs.mt = clean.knobs.nt = 32;
+  clean.mt = clean.nt = 32;
   clean.cards = 1;
   clean.host_steals = false;
   const Matrix<double> c_clean = offload_run(96, 96, 24, clean);
@@ -240,7 +240,7 @@ TEST(Chaos, HplNetDelayAndDropBitwiseIdentical) {
 TEST(Chaos, HplDropDelayDeadCardBitwiseResidual) {
   DistributedHplOptions clean_opt;
   clean_opt.use_offload_engine = true;
-  clean_opt.offload.knobs.mt = clean_opt.offload.knobs.nt = 24;
+  clean_opt.offload.mt = clean_opt.offload.nt = 24;
   clean_opt.offload.cards = 2;
   clean_opt.lookahead = Lookahead::kBasic;
   const auto clean = run_distributed_hpl(72, 24, Grid{2, 2}, 23, clean_opt);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "hpcc/beff.h"
-#include "tune/search_space.h"
 
 namespace xphi {
 namespace {
@@ -14,7 +13,6 @@ using hpcc::CollectiveProbe;
 using hpcc::NetKnobsSeed;
 using hpcc::run_beff;
 using hpcc::seed_net_knobs;
-using hpcc::seed_net_point;
 
 BeffOptions small_options() {
   BeffOptions opt;
@@ -90,29 +88,6 @@ TEST(Beff, SeedAlwaysRingMeansZeroCrossover) {
   const NetKnobsSeed seed = seed_net_knobs(probes);
   EXPECT_EQ(seed.crossover_doubles, 0u);  // always-ring per World semantics
   EXPECT_EQ(seed.ring_segment, 4096u);
-}
-
-TEST(Beff, SeedPointSnapsOntoNetSpace) {
-  const tune::SearchSpace net = tune::spaces::net();
-  const std::vector<CollectiveProbe> probes{
-      {.size_doubles = 200, .tree_seconds = 1e-3, .ring_seconds = 2e-3,
-       .best_segment = 128},
-      {.size_doubles = 5000, .tree_seconds = 3e-3, .ring_seconds = 1e-3,
-       .best_segment = 600},
-  };
-  const auto point = seed_net_point(probes, net);
-  const auto values = net.values_at(point);
-  // crossover 200 snaps to candidate 256; segment 600 snaps to 512.
-  EXPECT_EQ(values[0], 256);
-  EXPECT_EQ(values[1], 512);
-
-  // A measured table also lands inside the space.
-  const BeffResult r = run_beff(small_options());
-  ASSERT_TRUE(r.ok);
-  const auto measured = seed_net_point(r.probes, net);
-  ASSERT_EQ(measured.size(), net.dims());
-  for (std::size_t d = 0; d < net.dims(); ++d)
-    EXPECT_LT(measured[d], net.dim(d).values.size());
 }
 
 }  // namespace

@@ -133,8 +133,8 @@ TEST(DistributedHpl, HybridOffloadEngineMatchesPlainUpdate) {
   // engine (queues + card threads + stealing) must not change the numerics.
   DistributedHplOptions opt;
   opt.use_offload_engine = true;
-  opt.offload.knobs.mt = 24;
-  opt.offload.knobs.nt = 24;
+  opt.offload.mt = 24;
+  opt.offload.nt = 24;
   opt.offload.host_steals = true;
   const auto hybrid = run_distributed_hpl(80, 16, Grid{2, 2}, 61, opt);
   const auto plain = run_distributed_hpl(80, 16, Grid{2, 2}, 61);
@@ -150,8 +150,8 @@ TEST(DistributedHpl, HybridOffloadTwoCardsPerRank) {
   DistributedHplOptions opt;
   opt.use_offload_engine = true;
   opt.offload.cards = 2;
-  opt.offload.knobs.mt = 20;
-  opt.offload.knobs.nt = 20;
+  opt.offload.mt = 20;
+  opt.offload.nt = 20;
   const auto res = run_distributed_hpl(72, 12, Grid{1, 2}, 77, opt);
   EXPECT_TRUE(res.ok);
   EXPECT_LT(res.solve_agreement, 1e-10);
@@ -326,8 +326,8 @@ TEST(DistributedHpl, LookaheadWithOffloadEngine) {
   DistributedHplOptions opt;
   opt.lookahead = Lookahead::kBasic;
   opt.use_offload_engine = true;
-  opt.offload.knobs.mt = 20;
-  opt.offload.knobs.nt = 20;
+  opt.offload.mt = 20;
+  opt.offload.nt = 20;
   const auto res = run_distributed_hpl(72, 12, Grid{2, 2}, 19, opt);
   ASSERT_TRUE(res.ok);
   EXPECT_LT(res.solve_agreement, 1e-10);
@@ -349,7 +349,7 @@ TEST(DistributedHpl, LookaheadSingleRankOffloadSchemesAgree) {
         opt.use_offload_engine = true;
         opt.offload.cards = cards;
         opt.offload.host_steals = cards == 2;
-        if (sh.tile != 0) opt.offload.knobs.mt = opt.offload.knobs.nt = sh.tile;
+        if (sh.tile != 0) opt.offload.mt = opt.offload.nt = sh.tile;
         return run_distributed_hpl(sh.n, sh.nb, Grid{1, 1}, 9, opt);
       };
       const auto none = run(Lookahead::kNone);

@@ -29,8 +29,8 @@ DistributedHplResult run_single_node(std::size_t n, std::size_t nb,
 
 TEST(HybridFunctional, LookaheadPassesResidual) {
   auto opt = offload_options(Lookahead::kBasic);
-  opt.offload.knobs.mt = 48;
-  opt.offload.knobs.nt = 48;
+  opt.offload.mt = 48;
+  opt.offload.nt = 48;
   const auto res = run_single_node(192, 32, opt);
   EXPECT_TRUE(res.ok);
   EXPECT_LT(res.residual, blas::kHplResidualThreshold);
@@ -74,8 +74,8 @@ TEST(HybridFunctional, TwoCardsAndHostStealing) {
   auto opt = offload_options(Lookahead::kBasic);
   opt.offload.cards = 2;
   opt.offload.host_steals = true;
-  opt.offload.knobs.mt = 40;
-  opt.offload.knobs.nt = 40;
+  opt.offload.mt = 40;
+  opt.offload.nt = 40;
   const auto res = run_single_node(200, 40, opt);
   EXPECT_TRUE(res.ok);
 }

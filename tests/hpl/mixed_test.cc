@@ -303,7 +303,7 @@ TEST(MixedChaos, DeadCardMidFactorBitwiseIdenticalSolveAndTrace) {
   DistributedHplOptions base;
   base.precision = Precision::kMixed;
   base.use_offload_engine = true;
-  base.offload.knobs.mt = base.offload.knobs.nt = 24;
+  base.offload.mt = base.offload.nt = 24;
   base.offload.cards = 2;
   const auto clean = run_distributed_hpl(72, 24, Grid{2, 2}, 23, base);
   ASSERT_TRUE(clean.ok);

@@ -53,5 +53,12 @@ TEST(Machine, PartialCorePeak) {
   EXPECT_NEAR(m.peak_gflops(Precision::kDouble, 1), 17.6, 0.01);
 }
 
+TEST(Machine, FingerprintIsTopologyNotNames) {
+  EXPECT_EQ(default_fingerprint(),
+            fingerprint(MachineSpec::sandy_bridge_ep(),
+                        MachineSpec::knights_corner()));
+  EXPECT_NE(default_fingerprint().find("card1x61c"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace xphi::sim
