@@ -20,7 +20,11 @@
 // policy: single-thread GF/s of every registered shape x ISA variant the
 // host runs, fp64 and fp32, at the two GEMM shapes the n=2048, nb=64 LU
 // update issues (one DAG task, m x nb x nb, and the first trailing update,
-// (n-nb)^2 x nb), as the median of interleaved reps.
+// (n-nb)^2 x nb), as the median of interleaved reps. Every operand is a
+// block of an n-column matrix (leading dimension n), as in the LU, and
+// successive DAG-task calls write successive nb-wide column blocks of C, so
+// a task finds its C rows n elements apart and out of its L2 — as the DAG's
+// tasks do, and as the micro-kernel's C prefetch is built for.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -82,10 +86,14 @@ void measure_lu_shapes(const char* type, int reps, xphi::util::Table& table,
   const std::string auto_name = mk::select_kernel<T>(0).name();
   const auto& reg = mk::registry<T>();
   for (const Gemm& g : gemms) {
-    util::Matrix<T> a(g.m, kNb), b(kNb, g.n), c(g.m, g.n);
-    util::fill_hpl_matrix(a.view(), 1);
-    util::fill_hpl_matrix(b.view(), 2);
-    c.fill(T(0));
+    util::Matrix<T> a_buf(g.m, kN), b_buf(kNb, kN), c_buf(g.m, kN);
+    const auto a = a_buf.view().block(0, 0, g.m, kNb);
+    const auto b = b_buf.view().block(0, 0, kNb, g.n);
+    const std::size_t c_blocks = kN / g.n;
+    std::size_t calls = 0;
+    util::fill_hpl_matrix(a_buf.view(), 1);
+    util::fill_hpl_matrix(b_buf.view(), 2);
+    c_buf.fill(T(0));
     for (int isa = 0; isa <= static_cast<int>(host->isa); ++isa) {
       std::vector<std::string> specs;
       for (const mk::Kernel<T>& k : reg)
@@ -97,8 +105,10 @@ void measure_lu_shapes(const char* type, int reps, xphi::util::Table& table,
         for (std::size_t i = 0; i < specs.size(); ++i) {
           blas::GemmOptions go;
           go.kernel_spec = specs[i].c_str();
+          const auto c =
+              c_buf.view().block(0, (calls++ % c_blocks) * g.n, g.m, g.n);
           const auto t0 = std::chrono::steady_clock::now();
-          blas::gemm_tiled<T>(T(1), a.view(), b.view(), T(0), c.view(), go);
+          blas::gemm_tiled<T>(T(1), a, b, T(0), c, go);
           const std::chrono::duration<double> dt =
               std::chrono::steady_clock::now() - t0;
           if (r > 0) t[i].push_back(dt.count());

@@ -611,8 +611,32 @@ void lu_solve_vector(util::MatrixView<const T> lu,
   // Apply the recorded interchanges to b.
   for (std::size_t i = 0; i < n; ++i)
     if (ipiv[i] != i) std::swap(b[i], b[ipiv[i]]);
-  // Forward substitution with unit lower L.
-  for (std::size_t i = 1; i < n; ++i) {
+  // Forward substitution with unit lower L, kRows rows at a time: over the
+  // solved columns j < i0 each row keeps its own accumulator and its own
+  // ascending-j chain, so the block's chains interleave (independent
+  // latency-bound dependency chains) while every b[i] is bit-identical to
+  // the one-row-at-a-time sweep. Rows past the last full block run that
+  // sweep directly. Back substitution keeps its single chain: row i's
+  // chain starts with b[i+1], which no reordering could share.
+  constexpr std::size_t kRows = 8;
+  std::size_t i0 = 0;
+  for (; i0 + kRows <= n; i0 += kRows) {
+    T acc[kRows];
+    const T* row[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) {
+      acc[r] = b[i0 + r];
+      row[r] = lu.row(i0 + r);
+    }
+    for (std::size_t j = 0; j < i0; ++j) {
+      const T bj = b[j];
+      for (std::size_t r = 0; r < kRows; ++r) acc[r] -= row[r][j] * bj;
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t j = i0; j < i0 + r; ++j) acc[r] -= row[r][j] * b[j];
+      b[i0 + r] = acc[r];
+    }
+  }
+  for (std::size_t i = i0; i < n; ++i) {
     T acc = b[i];
     const T* row = lu.row(i);
     for (std::size_t j = 0; j < i; ++j) acc -= row[j] * b[j];

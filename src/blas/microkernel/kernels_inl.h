@@ -28,6 +28,17 @@
 // reduction. Combined with -ffp-contract=off on every kernel TU (no FMA
 // contraction of a*b+c), all registered kernels are bitwise-identical to
 // gemm_ref for the same operand split.
+//
+// C prefetch: ukr_full touches C only after all k steps, and with a large
+// ldc every C row of the tile sits in its own page, so those loads would
+// miss at the end of an otherwise compute-bound tile. The kernel therefore
+// prefetches (for write, into every cache level) the first and last element
+// of each of the tile's C rows before its first register block; the two ends
+// cover rows wider than one cache line and C that is not line-aligned. A
+// prefetch is a hint: it changes no value, writes nothing and never faults,
+// even on an address past an allocation, so every kernel stays bitwise equal
+// to gemm_ref and the masked path's "no access outside the corner" contract
+// is untouched (ukr_masked does not prefetch).
 
 /// One Nr-wide row of the register block as vector-extension values: the
 /// widest power-of-two lane count that fits the TU's vector register and
@@ -81,6 +92,10 @@ void ukr_full(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
               T beta, T* c, std::size_t ldc) {
   static_assert(TileRows % Mr == 0, "Mr must divide the packed tile height");
   using R = Row<T, Nr>;
+  for (std::size_t r = 0; r < TileRows; ++r) {
+    __builtin_prefetch(c + r * ldc, /*rw=*/1, /*locality=*/3);
+    __builtin_prefetch(c + r * ldc + (Nr - 1), /*rw=*/1, /*locality=*/3);
+  }
   for (std::size_t r0 = 0; r0 < TileRows; r0 += Mr) {
     typename R::Vec acc[Mr][R::kVecs] = {};
     accumulate<T, Mr, Nr, TileRows>(a_tile + r0, b_tile, k, acc);

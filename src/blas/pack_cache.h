@@ -6,7 +6,9 @@
 // (column) shares one A row-panel (B column-panel). Repacking the shared
 // panel per consumer wastes exactly the bandwidth the paper's "highly
 // optimized packing routines" exist to save, so PackCache packs each
-// distinct panel once and hands out shared references.
+// distinct panel once and hands out shared references. In the DAG LU the
+// stage's panel task makes the L21 pack, right after factoring the panel,
+// and the stage's update tasks only look it up.
 //
 // Keys are the block's identity — origin pointer, shape, leading dimension,
 // tile blocking — plus a caller-supplied `tag`. The tag is how a caller

@@ -30,7 +30,8 @@ struct Shared {
   blas::mk::Selection<T> kernel =
       blas::mk::select_kernel<T>(panel.microkernel);
   // Every update task of stage i multiplies against the same L21 panel; the
-  // cache (keyed by stage) packs it once per stage instead of once per task.
+  // stage's panel task packs it into the cache (keyed by stage) once, and
+  // the update tasks hit it.
   // A handful of entries suffices: look-ahead keeps only a few stages live.
   blas::PackCache<T> packs{8};
   std::atomic<bool> failed{false};
@@ -52,14 +53,27 @@ void execute_task(const Task& task, Shared<T>& sh) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count(),
         std::memory_order_relaxed);
-    if (!ok) sh.failed.store(true, std::memory_order_relaxed);
+    if (!ok) {
+      sh.failed.store(true, std::memory_order_relaxed);
+      return;
+    }
+    // Pack this stage's L21 now, from the rows the panel's copy-back just
+    // left in cache, so no update task of the stage waits in the cache's
+    // call_once behind another one's pack. L21 is final from here until the
+    // left-swap post-pass: the update tasks only write columns right of the
+    // panel, so they find exactly these bits under the same key.
+    if (r0 + iw < n)
+      sh.packs.get_a(MatrixView<const T>(sh.a.block(r0 + iw, r0, n - r0 - iw,
+                                                    iw)),
+                     /*tag=*/task.stage, sh.kernel.tile_rows());
     return;
   }
   // Swap + forward solve + trailing update of panel j against stage i. The
   // update is a single rank-iw outer product over packed operands: L21 is
   // identical for every panel of this stage, so it comes from the
-  // stage-tagged pack cache; U12 is task-private (its pack buffer is
-  // thread-local to amortize allocations across tasks).
+  // stage-tagged pack cache (packed by the stage's panel task); U12 is
+  // task-private (its pack buffer is thread-local to amortize allocations
+  // across tasks).
   const std::size_t c0 = task.panel * nb;
   blas::update_stage_columns<T>(
       sh.a, sh.ipiv, r0, iw, c0, std::min(nb, n - c0), sh.panel,

@@ -16,8 +16,10 @@
 
 namespace xphi::lu {
 
-/// Operand-pack reuse counters for one factorization (see blas/pack_cache.h:
-/// every update task of a stage shares the stage's packed L21 panel).
+/// Operand-pack reuse counters for one factorization (see blas/pack_cache.h).
+/// Each stage with a trailing block packs its L21 panel once, in its panel
+/// task (a miss), and every update task of the stage reuses it (a hit); a
+/// repack after FIFO eviction under an unusual schedule adds a miss.
 struct DagLuPackStats {
   std::size_t pack_hits = 0;
   std::size_t pack_misses = 0;
@@ -27,7 +29,8 @@ struct DagLuPackStats {
 /// threads. ipiv receives absolute row interchanges (LAPACK style). Returns
 /// false on a zero pivot. `pack_stats`, when given, receives the trailing
 /// update's PackCache hit/miss counts; `panel_seconds` the summed wall-clock
-/// of the panel-factor tasks (the critical path the DAG pipelines around).
+/// of the panel factorizations (the critical path the DAG pipelines around;
+/// the panel task's L21 pack is not included).
 /// `panel` carries the critical-path kernel knobs of every panel task, swap
 /// and trailing update; its pool field is ignored (the DAG workers are the
 /// parallelism). The update resolves mk::select_kernel<T>(panel.microkernel)

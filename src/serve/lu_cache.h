@@ -3,9 +3,10 @@
 // Repeat-RHS traffic re-solves the same matrix with fresh right-hand sides;
 // the dominant cost (the O(n^3) LU) is identical every time, so workers
 // share one process-level cache of finished factorizations. Entries are
-// keyed by machine fingerprint, shape bucket and a content hash of the
-// actual matrix, so a key can never alias across machines, across size
-// bands, or across matrices that merely share a seed convention.
+// keyed by shape bucket and a content hash of the actual matrix, so a key
+// can never alias across size bands or across matrices that merely share a
+// seed convention. The cache lives in one process and factorizations are
+// bitwise-deterministic, so the key carries no machine component.
 // Mixed-precision entries carry an "|fp32" bucket suffix, so fp32 and fp64
 // factors of the same matrix never alias either.
 //
@@ -74,23 +75,21 @@ constexpr ShapeBucket bucket(std::size_t m, std::size_t n,
   return ShapeBucket{bucket_extent(m), bucket_extent(n), bucket_extent(k)};
 }
 
-/// Cache key: (machine fingerprint, ShapeBucket::key(), content hash of the
-/// matrix bytes).
+/// Cache key: (ShapeBucket::key(), content hash of the matrix bytes).
 struct CacheKey {
-  std::string machine;
   std::string bucket;
   std::uint64_t content_hash = 0;
 
   bool operator==(const CacheKey&) const = default;
-  /// Flat string form used for hashing and shard selection.
+  /// Flat string form used for hashing and shard selection: "bucket|hash".
   std::string flat() const {
-    return machine + "|" + bucket + "|" + std::to_string(content_hash);
+    return bucket + "|" + std::to_string(content_hash);
   }
 };
 
 /// The solve server's key for the factors of an n x n matrix at panel
-/// width nb: sim::default_fingerprint(), bucket(n, n, nb).key() (plus
-/// "|fp32" for mixed-precision factors) and the fp64 matrix's content hash.
+/// width nb: bucket(n, n, nb).key() (plus "|fp32" for mixed-precision
+/// factors) and the fp64 matrix's content hash.
 CacheKey solve_cache_key(std::size_t n, std::size_t nb, bool fp32,
                          std::uint64_t content_hash);
 

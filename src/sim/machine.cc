@@ -1,7 +1,5 @@
 #include "sim/machine.h"
 
-#include <cstdio>
-
 namespace xphi::sim {
 
 MachineSpec MachineSpec::knights_corner() {
@@ -42,19 +40,6 @@ MachineSpec MachineSpec::sandy_bridge_ep() {
   m.os_reserved_cores = 0;
   m.tdp_watts = 230.0;  // 2 x 115 W E5-2670
   return m;
-}
-
-std::string fingerprint(const MachineSpec& host, const MachineSpec& card) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "host%dx%dc%.2fGHz+card%dx%dc%.2fGHz",
-                host.sockets, host.cores_per_socket, host.freq_ghz,
-                card.sockets, card.cores_per_socket, card.freq_ghz);
-  return buf;
-}
-
-std::string default_fingerprint() {
-  return fingerprint(MachineSpec::sandy_bridge_ep(),
-                     MachineSpec::knights_corner());
 }
 
 }  // namespace xphi::sim

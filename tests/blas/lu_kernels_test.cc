@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "blas/gemm_ref.h"
@@ -157,6 +158,48 @@ TEST(LuSolve, RecoversKnownSolution) {
   ASSERT_TRUE(getrf_unblocked<double>(lu.view(), ipiv));
   lu_solve_vector<double>(lu.view(), ipiv, b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(b[i], 1.0, 1e-9);
+}
+
+// Forward sweep of lu_solve_vector written as one ascending-j chain per
+// row, solved row after row — the order the blocked sweep must reproduce.
+template <class T>
+void forward_sweep_reference(const Matrix<T>& lu, std::vector<T>& b) {
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    T acc = b[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= lu(i, j) * b[j];
+    b[i] = acc;
+  }
+}
+
+template <class T>
+void expect_forward_sweep_bitwise(std::size_t n) {
+  // Identity pivots and a unit upper U (ones on the diagonal, zeros above)
+  // make lu_solve_vector's swap and back substitution exact no-ops, so x is
+  // the forward sweep's output alone.
+  Matrix<T> lu(n, n);
+  util::Rng rng(n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      lu(r, c) = c < r ? static_cast<T>(rng.next_centered())
+                       : static_cast<T>(c == r ? 1 : 0);
+  std::vector<std::size_t> ipiv(n);
+  for (std::size_t i = 0; i < n; ++i) ipiv[i] = i;
+  std::vector<T> x(n), want;
+  for (auto& v : x) v = static_cast<T>(rng.next_centered());
+  want = x;
+  forward_sweep_reference<T>(lu, want);
+  lu_solve_vector<T>(lu.view(), ipiv, x);
+  EXPECT_EQ(std::memcmp(x.data(), want.data(), n * sizeof(T)), 0);
+}
+
+TEST(LuSolve, ForwardSweepIsTheSequentialChainBitwise) {
+  // Sizes straddle the 8-row blocks: below, at and just past one block,
+  // and several blocks with ragged tails.
+  for (const std::size_t n : {1, 2, 7, 8, 9, 63, 64, 65, 257}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    expect_forward_sweep_bitwise<double>(n);
+    expect_forward_sweep_bitwise<float>(n);
+  }
 }
 
 }  // namespace

@@ -60,8 +60,38 @@ TEST(DagLuFactor, MultiWorkerMatchesSingleWorker) {
   ASSERT_TRUE(dag_lu_factor(a1.view(), p1, nb, 1));
   ASSERT_TRUE(dag_lu_factor(a2.view(), p2, nb, 4));
   EXPECT_EQ(p1, p2);
-  // Dynamic scheduling changes execution order, not results.
-  EXPECT_LT(util::max_abs_diff<double>(a1.view(), a2.view()), 1e-10);
+  // Dynamic scheduling changes execution order, not results: the DAG is
+  // bitwise by contract, whichever worker packs or updates what.
+  EXPECT_EQ(util::max_abs_diff<double>(a1.view(), a2.view()), 0.0);
+}
+
+TEST(FunctionalDagLu, PanelTaskPacksItsStage) {
+  // Each stage with a trailing block packs its L21 once, in its panel task;
+  // every update task of the stage then hits that pack.
+  struct Shape { std::size_t n, nb; };
+  for (const Shape& sh : {Shape{150, 32}, Shape{130, 28}}) {
+    const std::size_t panels = (sh.n + sh.nb - 1) / sh.nb;
+    const std::size_t packed_stages = panels - 1;
+    const std::size_t update_tasks = panels * (panels - 1) / 2;
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << sh.n << " nb=" << sh.nb
+                                        << " workers=" << workers);
+      util::Matrix<double> a(sh.n, sh.n);
+      util::fill_hpl_matrix(a.view(), 5);
+      std::vector<std::size_t> ipiv(sh.n);
+      DagLuPackStats stats;
+      ASSERT_TRUE(dag_lu_factor(a.view(), ipiv, sh.nb, workers, &stats));
+      if (workers == 1) {
+        EXPECT_EQ(stats.pack_misses, packed_stages);
+        EXPECT_EQ(stats.pack_hits, update_tasks);
+      } else {
+        // FIFO eviction may force a repack under an unusual schedule, so
+        // only the lookup total is pinned.
+        EXPECT_EQ(stats.pack_hits + stats.pack_misses,
+                  packed_stages + update_tasks);
+      }
+    }
+  }
 }
 
 TEST(FunctionalDagLu, PassesHplResidualSingleWorker) {

@@ -19,7 +19,7 @@ std::shared_ptr<const Factorization> make_value(std::size_t n, double fill) {
 }
 
 CacheKey key_of(std::uint64_t hash) {
-  return CacheKey{"machineA", "m64_n64_k32", hash};
+  return CacheKey{"m64_n64_k32", hash};
 }
 
 TEST(ContentHash, BitExactAndSensitive) {
@@ -34,11 +34,10 @@ TEST(ContentHash, BitExactAndSensitive) {
 }
 
 TEST(CacheKeyTest, DistinguishesAllComponents) {
-  const CacheKey base{"m1", "b1", 42};
-  EXPECT_EQ(base, (CacheKey{"m1", "b1", 42}));
-  EXPECT_NE(base.flat(), (CacheKey{"m2", "b1", 42}).flat());
-  EXPECT_NE(base.flat(), (CacheKey{"m1", "b2", 42}).flat());
-  EXPECT_NE(base.flat(), (CacheKey{"m1", "b1", 43}).flat());
+  const CacheKey base{"b1", 42};
+  EXPECT_EQ(base, (CacheKey{"b1", 42}));
+  EXPECT_NE(base.flat(), (CacheKey{"b2", 42}).flat());
+  EXPECT_NE(base.flat(), (CacheKey{"b1", 43}).flat());
 }
 
 TEST(ShardedLuCacheTest, MissThenHit) {
@@ -170,11 +169,11 @@ TEST(ShardedLuCacheTest, CostUnitsMixedWorkloadEvictsUntilFits) {
   // an "|fp32" suffix in the server's key, making them distinct keys. Model
   // that here: both live side by side.
   ShardedLuCache both(1, 2);
-  both.insert(CacheKey{"m", "b64", 7}, make_value(2, 1));
-  both.insert(CacheKey{"m", "b64|fp32", 7}, make_mixed_value(2, 1.0f));
+  both.insert(CacheKey{"b64", 7}, make_value(2, 1));
+  both.insert(CacheKey{"b64|fp32", 7}, make_mixed_value(2, 1.0f));
   EXPECT_EQ(both.size(), 2u);
-  EXPECT_NE(both.find(CacheKey{"m", "b64", 7}), nullptr);
-  EXPECT_NE(both.find(CacheKey{"m", "b64|fp32", 7}), nullptr);
+  EXPECT_NE(both.find(CacheKey{"b64", 7}), nullptr);
+  EXPECT_NE(both.find(CacheKey{"b64|fp32", 7}), nullptr);
 }
 
 TEST(ShardedLuCacheTest, ConcurrentMixedTrafficIsSafe) {
@@ -251,11 +250,9 @@ TEST(CacheKey, SolveKeyBytesAreStable) {
   // cold-starts every cache, so these strings are pinned exactly.
   constexpr std::uint64_t kHash = 0x0123456789abcdefull;
   EXPECT_EQ(solve_cache_key(512, 32, false, kHash).flat(),
-            "host2x8c2.60GHz+card1x61c1.10GHz|m512_n512_k32|"
-            "81985529216486895");
+            "m512_n512_k32|81985529216486895");
   EXPECT_EQ(solve_cache_key(100, 32, true, kHash).flat(),
-            "host2x8c2.60GHz+card1x61c1.10GHz|m128_n128_k32|fp32|"
-            "81985529216486895");
+            "m128_n128_k32|fp32|81985529216486895");
 }
 
 }  // namespace
